@@ -103,10 +103,10 @@ func (c Config) retryDelay() time.Duration {
 // manifest. Same CRC-framed JSONL format (persist.Journal).
 const walName = "dist.json"
 
-// walRecord is one assignment-state transition. Each record is appended
-// (and fsynced) *before* the in-memory transition it describes takes
-// effect, so a coordinator killed at any instant restarts into a state it
-// had durably announced.
+// walRecord is one assignment-state transition. Each record reaches the
+// shard table through persist.Log.Apply, which appends (and fsyncs) it
+// before the reducer applies it, so a coordinator killed at any instant
+// restarts into a state it had durably announced.
 type walRecord struct {
 	Kind    string `json:"kind"` // grant | complete | fail | poison
 	Shard   string `json:"shard"`
@@ -138,7 +138,7 @@ type Coordinator struct {
 	scope *obs.Scope
 
 	mu     sync.Mutex
-	wal    *persist.Journal
+	wal    *persist.Log[walRecord]
 	shards map[string]*shardState
 	order  []string // canonical (display/snapshot) order
 	grants []string // claim-time order: LPT when WallHistory is known
@@ -166,14 +166,9 @@ func New(cfg Config) (*Coordinator, error) {
 			return nil, err
 		}
 	}
-	wal, records, err := persist.OpenJournal(walPath)
-	if err != nil {
-		return nil, err
-	}
 	c := &Coordinator{
 		cfg:    cfg,
 		scope:  obs.NewScope("dist"),
-		wal:    wal,
 		shards: map[string]*shardState{},
 		order:  append([]string(nil), cfg.Shards...),
 	}
@@ -181,7 +176,13 @@ func New(cfg Config) (*Coordinator, error) {
 	for _, name := range c.order {
 		c.shards[name] = &shardState{name: name, state: StatePending}
 	}
-	if err := c.replay(records); err != nil {
+	wal, err := persist.OpenLog(walPath, c.apply)
+	if err != nil {
+		c.scope.Close()
+		return nil, err
+	}
+	c.wal = wal
+	if err := c.restored(); err != nil {
 		_ = wal.Close()
 		c.scope.Close()
 		return nil, err
@@ -192,7 +193,7 @@ func New(cfg Config) (*Coordinator, error) {
 	for _, name := range c.order {
 		s := c.shards[name]
 		if s.state == StatePending && cfg.Sink.Reusable(name) {
-			s.state = StateDone
+			s.state, s.lastErr = StateDone, ""
 			c.logf("dist: shard %s reused (artifact verified)", name)
 			c.scope.Inc("dist.reused")
 		}
@@ -200,47 +201,45 @@ func New(cfg Config) (*Coordinator, error) {
 	return c, nil
 }
 
-// replay rebuilds the shard state machine from WAL records. Leases found
-// still open are restored with a fresh TTL from restart time: a surviving
-// worker keeps renewing and never notices the outage; a dead worker's
-// restored lease expires on the normal schedule and the shard is re-queued.
-func (c *Coordinator) replay(records [][]byte) error {
-	for i, raw := range records {
-		var r walRecord
-		if err := json.Unmarshal(raw, &r); err != nil {
-			return fmt.Errorf("dist: WAL record %d: %w", i+1, err)
-		}
-		s, ok := c.shards[r.Shard]
-		if !ok {
-			// A WAL written by a sweep over a different shard set: refuse
-			// rather than silently dropping assignment state.
-			return fmt.Errorf("dist: WAL names unknown shard %q (stale dist.json? run without -resume)", r.Shard)
-		}
-		switch r.Kind {
-		case "grant":
-			s.state = StateLeased
-			s.worker, s.lease, s.attempts = r.Worker, r.Lease, r.Attempt
-			s.expiry = obs.Now().Add(c.cfg.leaseTTL())
-			c.seq++
-		case "complete":
-			s.state = StateDone
-			s.worker, s.lease = "", ""
-		case "fail":
-			s.state = StatePending
-			s.worker, s.lease = "", ""
-			if r.Attempt > 0 {
-				s.attempts = r.Attempt
-			}
-			s.lastErr = r.Error
-			s.notBefore = obs.Now().Add(c.requeueDelay(s.attempts))
-		case "poison":
-			s.state = StatePoisoned
-			s.worker, s.lease = "", ""
-			s.attempts, s.lastErr = r.Attempt, r.Error
-		default:
-			return fmt.Errorf("dist: WAL record %d: unknown kind %q", i+1, r.Kind)
-		}
+// apply is the shard state machine's reducer: the one place a WAL record
+// changes a shard, whether the record was just appended (via c.wal.Apply,
+// caller holding c.mu) or is being replayed by New. Leases are armed with
+// a fresh TTL from now, so a replayed lease outlives the outage: a
+// surviving worker keeps renewing and never notices it, while a dead
+// worker's lease expires on the normal schedule and the shard re-queues.
+func (c *Coordinator) apply(r walRecord) error {
+	s, ok := c.shards[r.Shard]
+	if !ok {
+		// A WAL written by a sweep over a different shard set: refuse
+		// rather than silently dropping assignment state.
+		return fmt.Errorf("dist: WAL names unknown shard %q (stale dist.json? run without -resume)", r.Shard)
 	}
+	switch r.Kind {
+	case "grant":
+		c.seq++
+		s.state, s.worker, s.lease, s.attempts = StateLeased, r.Worker, r.Lease, r.Attempt
+		s.expiry = obs.Now().Add(c.cfg.leaseTTL())
+	case "complete":
+		s.state, s.worker, s.lease, s.lastErr = StateDone, "", "", ""
+	case "fail":
+		s.state, s.worker, s.lease, s.lastErr = StatePending, "", "", r.Error
+		if r.Attempt > 0 {
+			s.attempts = r.Attempt
+		}
+		s.notBefore = obs.Now().Add(c.requeueDelay(s.attempts))
+	case "poison":
+		s.state, s.worker, s.lease, s.lastErr = StatePoisoned, "", "", r.Error
+		s.attempts = r.Attempt
+	default:
+		return fmt.Errorf("dist: unknown WAL record kind %q", r.Kind)
+	}
+	return nil
+}
+
+// restored finishes a replay: leases the WAL left open get a telemetry
+// scope, poisoned shards are re-announced to the (restarted) sink, and
+// done shards are re-verified through it.
+func (c *Coordinator) restored() error {
 	replayed := 0
 	for _, name := range c.order {
 		s := c.shards[name]
@@ -311,16 +310,6 @@ func (c *Coordinator) requeueDelay(attempt int) time.Duration {
 	return d + time.Duration(jitterFrac(int64(attempt), int64(c.seq))*float64(d)/2)
 }
 
-// append journals one WAL record; the caller holds c.mu. An error means
-// the transition must not take effect.
-func (c *Coordinator) append(r walRecord) error {
-	raw, err := json.Marshal(r)
-	if err != nil {
-		return err
-	}
-	return c.wal.Append(raw)
-}
-
 // expireLocked sweeps leases past their deadline; the caller holds c.mu.
 // An expired lease burns the attempt: the shard is re-queued with backoff
 // or poisoned once attempts are exhausted.
@@ -347,13 +336,10 @@ func (c *Coordinator) expireLocked() {
 func (c *Coordinator) resolveAttemptLocked(s *shardState, cause error) {
 	if s.attempts >= c.cfg.maxAttempts() {
 		//lint:ignore lock-blocking append-before-effect: poison/fail records must be durable before the transition they describe, atomically under the caller's c.mu
-		if err := c.append(walRecord{Kind: "poison", Shard: s.name, Attempt: s.attempts, Error: cause.Error()}); err != nil {
+		if err := c.wal.Apply(walRecord{Kind: "poison", Shard: s.name, Attempt: s.attempts, Error: cause.Error()}); err != nil {
 			c.logf("dist: WAL poison %s: %v", s.name, err)
 			return
 		}
-		s.state = StatePoisoned
-		s.worker, s.lease = "", ""
-		s.lastErr = cause.Error()
 		if err := c.cfg.Sink.CommitPoisoned(s.name, s.attempts, cause); err != nil {
 			c.logf("dist: poisoning %s: %v", s.name, err)
 		}
@@ -363,14 +349,9 @@ func (c *Coordinator) resolveAttemptLocked(s *shardState, cause error) {
 		c.logf("dist: shard %s poisoned after %d attempt(s): %v", s.name, s.attempts, cause)
 		return
 	}
-	if err := c.append(walRecord{Kind: "fail", Shard: s.name, Attempt: s.attempts, Error: cause.Error()}); err != nil {
+	if err := c.wal.Apply(walRecord{Kind: "fail", Shard: s.name, Attempt: s.attempts, Error: cause.Error()}); err != nil {
 		c.logf("dist: WAL fail %s: %v", s.name, err)
-		return
 	}
-	s.state = StatePending
-	s.worker, s.lease = "", ""
-	s.lastErr = cause.Error()
-	s.notBefore = obs.Now().Add(c.requeueDelay(s.attempts))
 }
 
 // Handler returns the coordinator's HTTP API (bearer-token guarded when
@@ -466,20 +447,15 @@ func (c *Coordinator) claim(req ClaimRequest) (ClaimResponse, string) {
 			}
 			continue
 		}
-		// Grant: WAL first, then the in-memory transition. The lease id is
-		// derived from the NEXT sequence number; c.seq itself only advances
-		// once the record is durable, so a failed append leaves nothing to
-		// roll back.
+		// Grant. The lease id is derived from the NEXT sequence number;
+		// c.seq itself only advances when the reducer applies the durable
+		// record, so a failed append leaves nothing to roll back.
 		lease := fmt.Sprintf("L%06d", c.seq+1)
 		attempt := s.attempts + 1
 		//lint:ignore lock-blocking append-before-effect: the grant record must be durable before the lease transition it describes, atomically under c.mu
-		if err := c.append(walRecord{Kind: "grant", Shard: s.name, Worker: req.Worker, Lease: lease, Attempt: attempt}); err != nil {
+		if err := c.wal.Apply(walRecord{Kind: "grant", Shard: s.name, Worker: req.Worker, Lease: lease, Attempt: attempt}); err != nil {
 			return ClaimResponse{}, "journaling grant: " + err.Error()
 		}
-		c.seq++
-		s.state = StateLeased
-		s.worker, s.lease, s.attempts = req.Worker, lease, attempt
-		s.expiry = now.Add(c.cfg.leaseTTL())
 		if s.scope == nil {
 			s.scope = c.scope.Child(s.name)
 		}
@@ -572,21 +548,19 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Phase 3, locked again: journal the completion, then apply it. The
-	// shard may have changed state while unlocked (expiry, even poisoning);
-	// a durable verified result still wins — same convergence argument as
+	// Phase 3, locked again: journal and apply the completion. The shard
+	// may have changed state while unlocked (expiry, even poisoning); a
+	// durable verified result still wins — same convergence argument as
 	// the stale-upload path.
 	c.mu.Lock()
 	if s.state != StateDone {
 		//lint:ignore lock-blocking append-before-effect: the completion record must be durable before the transition it describes, atomically under c.mu
-		if err := c.append(walRecord{Kind: "complete", Shard: req.Shard, Worker: req.Worker, Lease: req.Lease}); err != nil {
+		if err := c.wal.Apply(walRecord{Kind: "complete", Shard: req.Shard, Worker: req.Worker, Lease: req.Lease}); err != nil {
 			c.mu.Unlock()
 			http.Error(w, "journaling completion: "+err.Error(), http.StatusInternalServerError)
 			return
 		}
 	}
-	s.state = StateDone
-	s.worker, s.lease, s.lastErr = "", "", ""
 	s.scope.Close()
 	s.scope = nil
 	c.scope.Inc("dist.completions")

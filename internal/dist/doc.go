@@ -21,11 +21,12 @@
 // the server committed) therefore converges instead of diverging.
 //
 // The coordinator itself is crash-safe: every lease grant and terminal
-// transition lands in a CRC-framed persist journal (the WAL, dist.json in
-// outDir) before it takes effect, so a killed coordinator restarted with
-// -resume replays its assignment state, restores in-flight leases with a
-// fresh TTL, and keeps accepting renewals from workers that survived the
-// outage. Workers ride out the gap on the same capped backoff they use for
+// transition goes through a persist.Log (the WAL, dist.json in outDir),
+// which journals it before the one reducer that applies it, so a killed
+// coordinator restarted with -resume replays the same reducer into the
+// assignment state the live coordinator had, restores in-flight leases
+// with a fresh TTL, and keeps accepting renewals from workers that
+// survived the outage. Workers ride out the gap on the same capped backoff they use for
 // any transport error.
 //
 // Everything observable rides the obs scope tree: the coordinator opens a

@@ -20,13 +20,11 @@ package experiments
 // ETA shrinks smoothly while a long solve is in flight.
 
 import (
-	"encoding/json"
 	"fmt"
 	"sync"
 	"time"
 
 	"graphio/internal/obs"
-	"graphio/internal/persist"
 )
 
 type etaTracker struct {
@@ -167,29 +165,4 @@ func (e *etaTracker) progressLine() string {
 		s += fmt.Sprintf(", ETA ~%v", time.Duration(st.ETANS).Round(time.Second))
 	}
 	return s
-}
-
-// readManifestWalls replays an existing sweep manifest read-only and
-// returns the latest ok/failed wall time per experiment. Best-effort by
-// design: a missing, torn, or corrupt manifest just means no history, so
-// the ETA starts unknown instead of the sweep failing.
-func readManifestWalls(path string) map[string]time.Duration {
-	records, err := persist.ReadJournal(path)
-	if err != nil || len(records) == 0 {
-		return nil
-	}
-	walls := map[string]time.Duration{}
-	for _, raw := range records {
-		var rec manifestRecord
-		if err := json.Unmarshal(raw, &rec); err != nil {
-			continue
-		}
-		if rec.Kind == recExperiment && rec.Name != "" && rec.WallMS > 0 && !rec.Skipped {
-			walls[rec.Name] = time.Duration(rec.WallMS) * time.Millisecond
-		}
-	}
-	if len(walls) == 0 {
-		return nil
-	}
-	return walls
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"path/filepath"
 	"testing"
 	"time"
@@ -105,10 +106,22 @@ func TestETASkipAndFailureCounts(t *testing.T) {
 	}
 }
 
+// readWalls opens dir's manifest for a fresh (non-resume) sweep and returns
+// the wall-time history the fold kept from the old journal.
+func readWalls(t *testing.T, dir string) map[string]time.Duration {
+	t.Helper()
+	m, err := openManifest(context.Background(), dir, Config{}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.close()
+	return m.walls
+}
+
 func TestReadManifestWalls(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, ManifestName)
-	if walls := readManifestWalls(path); walls != nil {
+	if walls := readWalls(t, dir); len(walls) != 0 {
 		t.Errorf("missing manifest produced history %v", walls)
 	}
 	j, _, err := persist.OpenJournal(path)
@@ -129,7 +142,7 @@ func TestReadManifestWalls(t *testing.T) {
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	walls := readManifestWalls(path)
+	walls := readWalls(t, dir)
 	if len(walls) != 2 {
 		t.Fatalf("walls = %v, want fig7+fig8", walls)
 	}

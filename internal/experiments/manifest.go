@@ -1,17 +1,17 @@
 package experiments
 
 // Sweep durability. The manifest is an append-only, checksummed JSONL
-// journal (persist.Journal) named manifest.json in outDir. Each completed
+// journal (a persist.Log) named manifest.json in outDir. Each completed
 // experiment appends one record carrying the config hash it ran under,
 // its status, and the SHA-256 of its committed CSV, so a later -resume
 // can prove an artifact is both present and current before skipping the
-// recompute. Replay takes the latest record per experiment; a torn final
-// record — the crash case — is discarded by the journal layer.
+// recompute. One fold keeps the latest record and the latest measured wall
+// time per experiment; a torn final record — the crash case — is discarded
+// by the journal layer.
 
 import (
 	"context"
 	"crypto/sha256"
-	"encoding/csv"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
@@ -144,21 +144,24 @@ func (c Config) Hash() string {
 
 // sweepManifest owns the journal and lock for one RunAll invocation.
 type sweepManifest struct {
-	journal *persist.Journal
-	lock    *persist.Lock
-	hash    string
-	prior   map[string]manifestRecord // latest experiment record per name
-	// walls is the previous manifest's wall-time history, captured before
-	// a fresh (non-resume) sweep truncates the journal: the ETA estimator
-	// can then seed itself even when the results themselves are not reused.
+	log  *persist.Log[manifestRecord]
+	lock *persist.Lock
+	hash string
+	// prior and walls are the manifest's fold: the latest experiment
+	// record per name, and the latest measured (not skipped) wall time per
+	// name. walls outlives a fresh (non-resume) sweep's truncation of the
+	// journal, so the ETA estimator and LPT scheduling can seed themselves
+	// even when the results themselves are not reused.
+	prior map[string]manifestRecord
 	walls map[string]time.Duration
 }
 
 // openManifest locks outDir, clears stale temp debris, and opens the
 // manifest journal. With resume set, prior records are replayed so the
-// sweep can skip verified work; otherwise the journal starts fresh.
-// Config.LockWait bounds how long the lock acquisition queues behind
-// another live sweep before failing typed (zero: fail immediately).
+// sweep can skip verified work; otherwise the journal starts fresh and only
+// the old wall-time history survives (none when the old manifest does not
+// replay). Config.LockWait bounds how long the lock acquisition queues
+// behind another live sweep before failing typed (zero: fail immediately).
 func openManifest(ctx context.Context, outDir string, cfg Config, resume bool) (*sweepManifest, error) {
 	lock, err := persist.AcquireLockWait(ctx, filepath.Join(outDir, manifestLockName), cfg.LockWait)
 	if err != nil {
@@ -172,28 +175,22 @@ func openManifest(ctx context.Context, outDir string, cfg Config, resume bool) (
 		return nil, err
 	}
 	path := filepath.Join(outDir, ManifestName)
-	walls := readManifestWalls(path)
+	m := &sweepManifest{lock: lock, hash: cfg.Hash(), prior: map[string]manifestRecord{}, walls: map[string]time.Duration{}}
+	m.log, err = persist.OpenLog(path, m.fold)
 	if !resume {
-		if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
-			_ = lock.Release()
-			return nil, err
+		if err == nil {
+			_ = m.log.Close()
+		} else {
+			m.walls = map[string]time.Duration{}
+		}
+		m.prior = map[string]manifestRecord{}
+		if err = os.Remove(path); err == nil || os.IsNotExist(err) {
+			m.log, err = persist.OpenLog(path, m.fold)
 		}
 	}
-	journal, records, err := persist.OpenJournal(path)
 	if err != nil {
 		_ = lock.Release()
 		return nil, fmt.Errorf("experiments: opening sweep manifest: %w", err)
-	}
-	m := &sweepManifest{journal: journal, lock: lock, hash: cfg.Hash(), prior: map[string]manifestRecord{}, walls: walls}
-	//lint:ignore ctx-loop replay decodes records already in memory — bounded work with nothing to cancel
-	for _, raw := range records {
-		var rec manifestRecord
-		if err := json.Unmarshal(raw, &rec); err != nil {
-			continue // checksummed but unknown shape: treat as absent
-		}
-		if rec.Kind == recExperiment && rec.Name != "" {
-			m.prior[rec.Name] = rec
-		}
 	}
 	if err := m.append(manifestRecord{Kind: recSweep, ConfigHash: m.hash, Resumed: resume}); err != nil {
 		m.close()
@@ -202,13 +199,22 @@ func openManifest(ctx context.Context, outDir string, cfg Config, resume bool) (
 	return m, nil
 }
 
+// fold is the manifest's reducer, run on every record replayed at open and
+// every record appended after.
+func (m *sweepManifest) fold(rec manifestRecord) error {
+	if rec.Kind != recExperiment || rec.Name == "" {
+		return nil
+	}
+	m.prior[rec.Name] = rec
+	if rec.WallMS > 0 && !rec.Skipped {
+		m.walls[rec.Name] = time.Duration(rec.WallMS) * time.Millisecond
+	}
+	return nil
+}
+
 func (m *sweepManifest) append(rec manifestRecord) error {
 	rec.Time = obs.Now().UTC().Format(time.RFC3339)
-	b, err := json.Marshal(rec)
-	if err != nil {
-		return err
-	}
-	return m.journal.Append(b)
+	return m.log.Apply(rec)
 }
 
 // completed records a successful experiment and its committed artifact.
@@ -270,12 +276,11 @@ func (m *sweepManifest) reusable(outDir, name string) (*Table, manifestRecord, b
 	if !ok || rec.Status != statusOK || rec.ConfigHash != m.hash || rec.Artifact == "" {
 		return nil, rec, false
 	}
-	path := filepath.Join(outDir, rec.Artifact)
-	sha, err := sha256File(path)
-	if err != nil || sha != rec.SHA256 {
+	data, err := os.ReadFile(filepath.Join(outDir, rec.Artifact))
+	if err != nil || sha256Bytes(data) != rec.SHA256 {
 		return nil, rec, false
 	}
-	t, err := loadTableCSV(path, name, rec.Title)
+	t, err := tableFromCSV(name, rec.Title, data)
 	if err != nil {
 		return nil, rec, false
 	}
@@ -283,41 +288,12 @@ func (m *sweepManifest) reusable(outDir, name string) (*Table, manifestRecord, b
 }
 
 func (m *sweepManifest) close() {
-	_ = m.journal.Close()
+	_ = m.log.Close()
 	_ = m.lock.Release()
-}
-
-// sha256File hashes a file's current content.
-func sha256File(path string) (string, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return "", err
-	}
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:]), nil
 }
 
 // sha256Bytes hashes an in-memory artifact.
 func sha256Bytes(b []byte) string {
 	sum := sha256.Sum256(b)
 	return hex.EncodeToString(sum[:])
-}
-
-// loadTableCSV reconstructs a Table from its committed CSV plus the title
-// the manifest recorded, for regenerating report.txt on resume without
-// recomputing the experiment.
-func loadTableCSV(path, name, title string) (*Table, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	records, err := csv.NewReader(f).ReadAll()
-	if err != nil {
-		return nil, err
-	}
-	if len(records) == 0 {
-		return nil, fmt.Errorf("experiments: %s: empty CSV", path)
-	}
-	return &Table{Name: name, Title: title, Columns: records[0], Rows: records[1:]}, nil
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"os"
 	"path/filepath"
 	"time"
@@ -113,7 +114,9 @@ func runRunners(ctx context.Context, cfg Config, outDir string, names []string, 
 	}
 	var priorWalls map[string]time.Duration
 	if man != nil {
-		priorWalls = man.walls
+		// A copy: the manifest's fold keeps updating walls as this sweep
+		// commits, while the heartbeat reads the tracker concurrently.
+		priorWalls = maps.Clone(man.walls)
 	}
 	eta := newETATracker(selNames, priorWalls)
 	obs.SetSweepStatus(eta.status)

@@ -3,9 +3,10 @@
 // "fft:10"), enqueues spectral lower-bound jobs, and serves results
 // asynchronously — engineered for failure first.
 //
-// Durability. Every job is journaled to a WAL (persist.Journal,
-// append-before-effect) before it is admitted, and every terminal
-// transition (done, failed, shed) is journaled before it takes effect, so
+// Durability. Every job is journaled to a WAL (persist.Log, whose Apply
+// appends before its reducer runs) before it is admitted, and every
+// terminal transition (done, failed, shed) is journaled before it takes
+// effect, so
 // a daemon SIGKILLed at any instant restarts into a state it had durably
 // announced: jobs accepted but unresolved are re-queued and finish after
 // the restart. Results are content-addressed artifacts keyed by a stable

@@ -211,6 +211,7 @@ type job struct {
 	Host    string
 	Timeout time.Duration
 	seq     int // admission order; FIFO tiebreak within a priority
+	index   int // position in the run queue; -1 when not queued
 
 	State       string
 	Cached      bool

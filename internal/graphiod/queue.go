@@ -1,9 +1,8 @@
 package graphiod
 
 import (
-	"bytes"
 	"container/heap"
-	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -21,11 +20,12 @@ import (
 // walRecord is one frame in the daemon's job WAL. "accept" carries the full
 // canonical spec so replay needs nothing but the WAL and the content
 // directories; "done"/"fail"/"shed" are terminal transitions referencing
-// the accept by ID. Every record is appended (and fsynced, via
-// persist.Journal) before the transition it describes takes effect.
-// Compaction adds two snapshot kinds: "result" pins one result-cache entry
-// (key → artifact hash) independent of any job, and "meta" pins the ID
-// counter so pruned jobs' IDs are never reissued after a restart.
+// the accept by ID. Every record reaches the job table through
+// persist.Log.Apply, which appends (and fsyncs) it before the reducer
+// applies it. Compaction adds two snapshot kinds: "result" pins one
+// result-cache entry (key → artifact hash) independent of any job, and
+// "meta" pins the ID counter so pruned jobs' IDs are never reissued after
+// a restart.
 type walRecord struct {
 	Kind      string   `json:"kind"` // accept | done | fail | shed | result | meta
 	ID        string   `json:"id,omitempty"`
@@ -53,7 +53,7 @@ type walRecord struct {
 type store struct {
 	dir  string
 	lock *persist.Lock
-	wal  *persist.Journal
+	log  *persist.Log[walRecord]
 	logf func(format string, args ...interface{})
 
 	mu      sync.Mutex
@@ -70,7 +70,8 @@ type store struct {
 	retain int
 	// compactEvery triggers a WAL rewrite after that many appends, so the
 	// journal (and restart replay time) stays proportional to live state,
-	// not to every job ever accepted.
+	// not to every job ever accepted. The reducer counts every record it
+	// sees into recsSinceCompact.
 	compactEvery     int
 	recsSinceCompact int
 }
@@ -91,10 +92,11 @@ func artifactPath(dir, key string) string {
 // compactEvery instead).
 const walCompactSlack = 64
 
-// openStore locks dir, replays the WAL, verifies every completed job's
-// artifact by content hash, and re-queues everything accepted but never
-// durably resolved — the restart half of append-before-effect. retain
-// bounds the terminal jobs kept (≤ 0 means a default); logf may be nil.
+// openStore locks dir, folds the WAL into the job table, verifies every
+// artifact the WAL names by content hash, and re-queues everything
+// accepted but never durably resolved — the restart half of
+// append-before-effect. retain bounds the terminal jobs kept (≤ 0 means a
+// default); logf may be nil.
 func openStore(dir string, retain int, logf func(format string, args ...interface{})) (*store, error) {
 	if err := os.MkdirAll(graphsDir(dir), 0o755); err != nil {
 		return nil, fmt.Errorf("graphiod: data dir: %w", err)
@@ -110,11 +112,6 @@ func openStore(dir string, retain int, logf func(format string, args ...interfac
 		_ = lock.Release()
 		return nil, err
 	}
-	wal, recs, err := persist.OpenJournal(walPath(dir))
-	if err != nil {
-		_ = lock.Release()
-		return nil, fmt.Errorf("graphiod: open WAL: %w", err)
-	}
 	if retain <= 0 {
 		retain = 4096
 	}
@@ -124,50 +121,49 @@ func openStore(dir string, retain int, logf func(format string, args ...interfac
 	s := &store{
 		dir:          dir,
 		lock:         lock,
-		wal:          wal,
 		logf:         logf,
 		jobs:         make(map[string]*job),
 		results:      make(map[string]string),
 		retain:       retain,
 		compactEvery: 1024,
 	}
-	for _, raw := range recs {
-		var rec walRecord
-		if err := json.Unmarshal(raw, &rec); err != nil {
-			// A CRC-valid frame that is not JSON means a writer bug, not a
-			// torn tail; refuse to guess at the queue state.
-			s.close()
+	if s.log, err = persist.OpenLog(walPath(dir), s.apply); err != nil {
+		_ = lock.Release()
+		var corrupt *persist.CorruptError
+		if errors.As(err, &corrupt) {
+			// A bad record before the tail means a writer bug, not a torn
+			// append; refuse to guess at the queue state.
 			return nil, fmt.Errorf("graphiod: corrupt WAL record: %w", err)
 		}
-		s.applyReplay(rec)
+		return nil, fmt.Errorf("graphiod: open WAL: %w", err)
 	}
-	// Rebuild the run queue from whatever the WAL left unresolved.
-	for _, j := range s.jobs {
-		if j.State == StateQueued {
-			s.replayed++
-			heap.Push(&s.queue, j)
-		}
-	}
+	s.verifyReplayed()
+	s.replayed = s.queue.Len()
 	// A WAL dominated by dead records (terminal jobs past retention, stale
 	// cache entries) is rewritten to live state before serving, so replay
 	// cost stays bounded across restarts.
 	s.pruneLocked()
-	if len(recs) > s.liveRecordsLocked()+walCompactSlack {
+	if s.recsSinceCompact > s.liveRecordsLocked()+walCompactSlack {
 		if err := s.compactLocked(); err != nil {
 			s.close()
 			return nil, err
 		}
 	}
+	s.recsSinceCompact = 0
 	return s, nil
 }
 
-// applyReplay folds one WAL record into the in-memory job table. Terminal
-// records for unknown IDs are ignored (the accept lived in a torn tail).
-func (s *store) applyReplay(rec walRecord) {
+// apply is the job table's reducer: the one place a WAL record changes the
+// table, the queue, the result cache or the ID counter, whether the record
+// was just appended (via s.log.Apply, caller holding s.mu) or is being
+// replayed on open. Terminal records for unknown IDs are ignored (the
+// accept lived in a torn tail, or the job was pruned).
+func (s *store) apply(rec walRecord) error {
+	s.recsSinceCompact++
 	switch rec.Kind {
 	case "accept":
 		if rec.Spec == nil {
-			return
+			return nil
 		}
 		j := &job{
 			ID:       rec.ID,
@@ -186,41 +182,50 @@ func (s *store) applyReplay(rec walRecord) {
 			s.nextID = n + 1
 		}
 		s.jobs[j.ID] = j
-	case "done":
+		heap.Push(&s.queue, j)
+	case "done", "fail", "shed":
 		j, ok := s.jobs[rec.ID]
 		if !ok {
-			return
+			return nil
 		}
-		// Trust, but verify: the artifact must exist with the journaled
-		// hash, or the job runs again. A crash between the artifact rename
-		// and the WAL append leaves a valid orphan artifact; the reverse
-		// order cannot happen (artifact commits before the done record).
-		if s.verifyArtifact(j.Key, rec.SHA) {
-			j.State = StateDone
-			j.ArtifactSHA = rec.SHA
-			j.WallMS = rec.WallMS
+		if j.index >= 0 {
+			heap.Remove(&s.queue, j.index)
+		}
+		switch rec.Kind {
+		case "done":
+			j.State, j.ArtifactSHA, j.WallMS = StateDone, rec.SHA, rec.WallMS
 			s.results[j.Key] = rec.SHA
-		}
-	case "fail":
-		if j, ok := s.jobs[rec.ID]; ok {
-			j.State = StateFailed
-			j.ErrKind = rec.ErrKind
-			j.ErrMsg = rec.Error
-			j.WallMS = rec.WallMS
-		}
-	case "shed":
-		if j, ok := s.jobs[rec.ID]; ok {
+		case "fail":
+			j.State, j.ErrKind, j.ErrMsg, j.WallMS = StateFailed, rec.ErrKind, rec.Error, rec.WallMS
+		default:
 			j.State = StateShed
 		}
 	case "result":
-		// Compaction snapshot of one result-cache entry; same trust-but-
-		// verify rule as "done" records.
-		if s.verifyArtifact(rec.Key, rec.SHA) {
-			s.results[rec.Key] = rec.SHA
-		}
+		s.results[rec.Key] = rec.SHA
 	case "meta":
 		if rec.NextID > s.nextID {
 			s.nextID = rec.NextID
+		}
+	}
+	return nil
+}
+
+// verifyReplayed is replay's trust-but-verify pass, run once after the
+// fold: every cache entry's artifact must exist with its journaled hash or
+// the entry is dropped, and a done job whose hash no verified entry backs
+// runs again. A crash between the artifact rename and the done append
+// leaves a valid orphan artifact; the reverse order cannot happen (the
+// artifact commits first).
+func (s *store) verifyReplayed() {
+	for key, sha := range s.results {
+		if !s.verifyArtifact(key, sha) {
+			delete(s.results, key)
+		}
+	}
+	for _, j := range s.jobs {
+		if j.State == StateDone && s.results[j.Key] != j.ArtifactSHA {
+			j.State, j.ArtifactSHA, j.WallMS = StateQueued, "", 0
+			heap.Push(&s.queue, j)
 		}
 	}
 }
@@ -234,22 +239,8 @@ func (s *store) verifyArtifact(key, wantSHA string) bool {
 }
 
 func (s *store) close() {
-	_ = s.wal.Close()
+	_ = s.log.Close()
 	_ = s.lock.Release()
-}
-
-// append journals rec durably; the caller applies the effect only after a
-// nil return (append-before-effect). Callers hold s.mu.
-func (s *store) append(rec walRecord) error {
-	b, err := json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("graphiod: marshal WAL record: %w", err)
-	}
-	if err := s.wal.Append(b); err != nil {
-		return err
-	}
-	s.recsSinceCompact++
-	return nil
 }
 
 // admitLimits are the admission caps accept enforces atomically with the
@@ -321,46 +312,28 @@ func (s *store) admitLocked(client, host string, lim admitLimits) error {
 func (s *store) accept(spec jobSpec, priority int, client, host string, timeout time.Duration, lim admitLimits) (*job, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	j := &job{
-		ID:       fmt.Sprintf("j%06d", s.nextID),
-		Key:      spec.Key(),
-		Spec:     spec,
-		Priority: priority,
-		Client:   client,
-		Host:     host,
-		Timeout:  timeout,
-		seq:      s.seq,
-		State:    StateQueued,
-	}
-	cachedSHA, hit := s.results[j.Key]
-	j.Cached = hit
+	id := fmt.Sprintf("j%06d", s.nextID)
+	cachedSHA, hit := s.results[spec.Key()]
 	if !hit {
 		if err := s.admitLocked(client, host, lim); err != nil {
 			return nil, err
 		}
 	}
 	rec := walRecord{
-		Kind: "accept", ID: j.ID, Spec: &spec,
+		Kind: "accept", ID: id, Spec: &spec,
 		Priority: priority, Client: client, Host: host,
 		TimeoutMS: timeout.Milliseconds(), Cached: hit,
 	}
 	//lint:ignore lock-blocking append-before-effect: admission, the accept record, and the table/queue insert must be one atomic section under s.mu or racing submissions overshoot the caps
-	if err := s.append(rec); err != nil {
+	if err := s.log.Apply(rec); err != nil {
 		return nil, err
 	}
 	if hit {
-		if err := s.append(walRecord{Kind: "done", ID: j.ID, SHA: cachedSHA}); err != nil {
+		if err := s.log.Apply(walRecord{Kind: "done", ID: id, SHA: cachedSHA}); err != nil {
 			return nil, err
 		}
-		j.State = StateDone
-		j.ArtifactSHA = cachedSHA
 	}
-	s.nextID++
-	s.seq++
-	s.jobs[j.ID] = j
-	if !hit {
-		heap.Push(&s.queue, j)
-	}
+	j := s.jobs[id]
 	s.pruneLocked()
 	s.maybeCompactLocked()
 	return j, nil
@@ -384,15 +357,10 @@ func (s *store) next() *job {
 func (s *store) complete(j *job, artifactSHA string, wall time.Duration) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	wallMS := wall.Milliseconds()
 	//lint:ignore lock-blocking append-before-effect: the done record must be durable before the terminal transition it describes, atomically under s.mu
-	if err := s.append(walRecord{Kind: "done", ID: j.ID, SHA: artifactSHA, WallMS: wallMS}); err != nil {
+	if err := s.log.Apply(walRecord{Kind: "done", ID: j.ID, SHA: artifactSHA, WallMS: wall.Milliseconds()}); err != nil {
 		return err
 	}
-	j.State = StateDone
-	j.ArtifactSHA = artifactSHA
-	j.WallMS = wallMS
-	s.results[j.Key] = artifactSHA
 	s.pruneLocked()
 	s.maybeCompactLocked()
 	return nil
@@ -402,15 +370,10 @@ func (s *store) complete(j *job, artifactSHA string, wall time.Duration) error {
 func (s *store) fail(j *job, kind, msg string, wall time.Duration) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	wallMS := wall.Milliseconds()
 	//lint:ignore lock-blocking append-before-effect: the fail record must be durable before the terminal transition it describes, atomically under s.mu
-	if err := s.append(walRecord{Kind: "fail", ID: j.ID, ErrKind: kind, Error: msg, WallMS: wallMS}); err != nil {
+	if err := s.log.Apply(walRecord{Kind: "fail", ID: j.ID, ErrKind: kind, Error: msg, WallMS: wall.Milliseconds()}); err != nil {
 		return err
 	}
-	j.State = StateFailed
-	j.ErrKind = kind
-	j.ErrMsg = msg
-	j.WallMS = wallMS
 	s.pruneLocked()
 	s.maybeCompactLocked()
 	return nil
@@ -469,34 +432,18 @@ func (s *store) maybeCompactLocked() {
 // accept (plus terminal) record for every retained job in admission order.
 // Replaying the rewritten journal reproduces the current tables exactly —
 // including re-queueing jobs that are queued or running right now, which is
-// the same contract crash replay already relies on. Caller holds s.mu.
+// the same contract crash replay already relies on. A failed rewrite
+// leaves the old (uncompacted, still correct) WAL in place. Caller holds
+// s.mu.
 func (s *store) compactLocked() error {
-	var buf bytes.Buffer
-	frame := func(rec walRecord) error {
-		b, err := json.Marshal(rec)
-		if err != nil {
-			return fmt.Errorf("graphiod: marshal WAL record: %w", err)
-		}
-		f, err := persist.FrameRecord(b)
-		if err != nil {
-			return err
-		}
-		buf.Write(f)
-		return nil
-	}
-	//lint:ignore lock-blocking compaction must snapshot and swap the journal against a frozen table; it runs under s.mu by contract and is amortized by compactEvery
-	if err := frame(walRecord{Kind: "meta", NextID: s.nextID}); err != nil {
-		return err
-	}
+	recs := []walRecord{{Kind: "meta", NextID: s.nextID}}
 	keys := make([]string, 0, len(s.results))
 	for k := range s.results {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
 	for _, k := range keys {
-		if err := frame(walRecord{Kind: "result", Key: k, SHA: s.results[k]}); err != nil {
-			return err
-		}
+		recs = append(recs, walRecord{Kind: "result", Key: k, SHA: s.results[k]})
 	}
 	jobs := make([]*job, 0, len(s.jobs))
 	for _, j := range s.jobs {
@@ -505,42 +452,23 @@ func (s *store) compactLocked() error {
 	sort.Slice(jobs, func(i, k int) bool { return jobs[i].seq < jobs[k].seq })
 	for _, j := range jobs {
 		spec := j.Spec
-		if err := frame(walRecord{
+		recs = append(recs, walRecord{
 			Kind: "accept", ID: j.ID, Spec: &spec,
 			Priority: j.Priority, Client: j.Client, Host: j.Host,
 			TimeoutMS: j.Timeout.Milliseconds(), Cached: j.Cached,
-		}); err != nil {
-			return err
-		}
-		var terminal *walRecord
+		})
 		switch j.State {
 		case StateDone:
-			terminal = &walRecord{Kind: "done", ID: j.ID, SHA: j.ArtifactSHA, WallMS: j.WallMS}
+			recs = append(recs, walRecord{Kind: "done", ID: j.ID, SHA: j.ArtifactSHA, WallMS: j.WallMS})
 		case StateFailed:
-			terminal = &walRecord{Kind: "fail", ID: j.ID, ErrKind: j.ErrKind, Error: j.ErrMsg, WallMS: j.WallMS}
+			recs = append(recs, walRecord{Kind: "fail", ID: j.ID, ErrKind: j.ErrKind, Error: j.ErrMsg, WallMS: j.WallMS})
 		case StateShed:
-			terminal = &walRecord{Kind: "shed", ID: j.ID}
-		}
-		if terminal != nil {
-			if err := frame(*terminal); err != nil {
-				return err
-			}
+			recs = append(recs, walRecord{Kind: "shed", ID: j.ID})
 		}
 	}
-	// Swap the journal: close, atomic-replace, reopen. WriteFileAtomic's
-	// temp+rename keeps the old journal intact on failure, so a failed
-	// rewrite degrades to an uncompacted (still correct) WAL.
-	if err := s.wal.Close(); err != nil {
+	//lint:ignore lock-blocking compaction must snapshot and swap the journal against a frozen table; it runs under s.mu by contract and is amortized by compactEvery
+	if err := s.log.Compact(recs); err != nil {
 		return fmt.Errorf("graphiod: compact WAL: %w", err)
-	}
-	writeErr := persist.WriteFileAtomic(walPath(s.dir), buf.Bytes(), 0o644)
-	wal, _, openErr := persist.OpenJournal(walPath(s.dir))
-	if openErr != nil {
-		return fmt.Errorf("graphiod: reopen WAL after compaction: %w", openErr)
-	}
-	s.wal = wal
-	if writeErr != nil {
-		return fmt.Errorf("graphiod: compact WAL: %w", writeErr)
 	}
 	s.recsSinceCompact = 0
 	return nil
@@ -563,11 +491,9 @@ func (s *store) shedLowest() (*job, error) {
 	}
 	j := s.queue[worst]
 	//lint:ignore lock-blocking append-before-effect: the shed record must be durable before the job leaves the queue, atomically under s.mu
-	if err := s.append(walRecord{Kind: "shed", ID: j.ID}); err != nil {
+	if err := s.log.Apply(walRecord{Kind: "shed", ID: j.ID}); err != nil {
 		return nil, err
 	}
-	heap.Remove(&s.queue, worst)
-	j.State = StateShed
 	s.pruneLocked()
 	s.maybeCompactLocked()
 	return j, nil
@@ -723,7 +649,9 @@ func (s *store) sweepArtifacts(ttl time.Duration) (int, error) {
 	return removed, nil
 }
 
-// jobHeap orders queued jobs by (priority desc, admission order asc).
+// jobHeap orders queued jobs by (priority desc, admission order asc). Each
+// job tracks its heap index (-1 once out of the queue) so a terminal
+// record can remove it from anywhere in the queue.
 type jobHeap []*job
 
 func (h jobHeap) Len() int { return len(h) }
@@ -733,15 +661,23 @@ func (h jobHeap) Less(i, j int) bool {
 	}
 	return h[i].seq < h[j].seq
 }
-func (h jobHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h jobHeap) Swap(i, j int) {
+	h[i], h[j] = h[j], h[i]
+	h[i].index, h[j].index = i, j
+}
 
-func (h *jobHeap) Push(x interface{}) { *h = append(*h, x.(*job)) }
+func (h *jobHeap) Push(x interface{}) {
+	j := x.(*job)
+	j.index = len(*h)
+	*h = append(*h, j)
+}
 
 func (h *jobHeap) Pop() interface{} {
 	old := *h
 	n := len(old)
 	x := old[n-1]
 	old[n-1] = nil
+	x.index = -1
 	*h = old[:n-1]
 	return x
 }

@@ -70,6 +70,15 @@ func TestCallGraphMethodValue(t *testing.T) {
 	}
 }
 
+func TestCallGraphGenericMethod(t *testing.T) {
+	pr, _ := loadProgram(t, "callgraph")
+	caller := nodeNamed(t, pr, "generic")
+	set := nodeNamed(t, pr, "(*cell[T]).set")
+	if len(edgesTo(caller, set)) != 1 {
+		t.Fatalf("generic edges = %v, want one resolved to (*cell[T]).set", caller.Edges)
+	}
+}
+
 func TestCallGraphGoAndDefer(t *testing.T) {
 	pr, _ := loadProgram(t, "callgraph")
 	spawn := nodeNamed(t, pr, "spawnAndDefer")

@@ -41,7 +41,7 @@ type Summary struct {
 
 	Spawns     bool // contains a go statement
 	Signals    bool // signals a join: WaitGroup.Done, channel send, close
-	AppendsWAL bool // transitively calls persist Journal.Append
+	AppendsWAL bool // transitively calls persist Journal.Append or Log.Apply
 
 	// Acquires maps mutex keys (see mutexKey) this function locks, directly
 	// or transitively. Local-variable mutexes stay function-local and are
@@ -260,11 +260,13 @@ func syncMethod(fn *types.Func) string {
 	return named.Obj().Name() + "." + fn.Name()
 }
 
-// isJournalAppend reports whether fn is the persist journal's Append.
+// isJournalAppend reports whether fn is one of the persist package's WAL
+// append primitives: Journal.Append, or Log.Apply (which appends before
+// it applies). Calls through an instantiation of the generic Log match
+// via the method's origin, so the check holds whether or not the persist
+// package is itself a lint unit.
 func isJournalAppend(fn *types.Func, persistPath string) bool {
-	if fn.Name() != "Append" {
-		return false
-	}
+	fn = fn.Origin()
 	sig, ok := fn.Type().(*types.Signature)
 	if !ok || sig.Recv() == nil {
 		return false
@@ -278,7 +280,10 @@ func isJournalAppend(fn *types.Func, persistPath string) bool {
 		return false
 	}
 	obj := named.Obj()
-	return obj.Pkg() != nil && obj.Pkg().Path() == persistPath && obj.Name() == "Journal"
+	if obj.Pkg() == nil || obj.Pkg().Path() != persistPath {
+		return false
+	}
+	return (obj.Name() == "Journal" && fn.Name() == "Append") || (obj.Name() == "Log" && fn.Name() == "Apply")
 }
 
 // extBlockReason classifies an external (outside the linted program)

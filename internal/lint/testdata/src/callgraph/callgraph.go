@@ -63,3 +63,11 @@ func runner(f func()) { f() }
 func passes() {
 	runner(func() { helper() })
 }
+
+// cell is generic: calls through an instantiation (cell[int]) must resolve
+// to the one declared method node.
+type cell[T any] struct{ v T }
+
+func (c *cell[T]) set(v T) { c.v = v }
+
+func generic(c *cell[int]) { c.set(1) }

@@ -17,3 +17,18 @@ func (j *Journal) Append(rec []byte) error {
 
 // Close closes the journal.
 func (j *Journal) Close() error { return nil }
+
+// Log is the fixture stand-in for persist.Log: a generic durable state
+// machine whose Apply appends before it runs the reducer.
+type Log[R any] struct {
+	j     *Journal
+	apply func(R) error
+}
+
+// Apply journals rec, then applies it.
+func (l *Log[R]) Apply(rec R) error {
+	if err := l.j.Append(nil); err != nil {
+		return err
+	}
+	return l.apply(rec)
+}

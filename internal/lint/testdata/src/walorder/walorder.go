@@ -92,3 +92,25 @@ func (s *store) afterAppend(e *entry, id string) error {
 	s.seq++
 	return nil
 }
+
+// logStore journals through the generic journal.Log; Apply is the append.
+type logStore struct {
+	log  *journal.Log[record]
+	seq  int
+	jobs map[string]*entry
+}
+
+// applyLate is clean: it mutates only after Apply returns.
+func (s *logStore) applyLate(id string) error {
+	if err := s.log.Apply(record{Kind: id}); err != nil {
+		return err
+	}
+	s.seq++
+	return nil
+}
+
+// applyEarly mutates before the generic Apply that journals the record.
+func (s *logStore) applyEarly(id string) error {
+	s.jobs[id] = &entry{state: "queued"} // want `applyEarly mutates s\.jobs\[\.\.\.\] before its first WAL append \(line \d+\)`
+	return s.log.Apply(record{Kind: id})
+}

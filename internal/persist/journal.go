@@ -20,10 +20,14 @@ import (
 // truncates the file back to the last good record, which is the
 // crash-consistency contract sweep manifests rely on. A bad record
 // anywhere before the final line cannot be produced by an append crash
-// and is reported as a *CorruptError instead of silently dropped.
+// and is reported as a *CorruptError instead of silently dropped. A
+// failed append is rolled back to the last good record before Append
+// returns, so later appends never land behind torn bytes.
 type Journal struct {
 	f    File
 	path string
+	size int64 // byte length of the good prefix; the next frame starts here
+	err  error // sticky: once set, every Append refuses with it
 }
 
 // CorruptError reports a journal record that failed validation somewhere
@@ -44,11 +48,15 @@ func crcHex(payload []byte) string {
 	return fmt.Sprintf("%08x", crc32.Checksum(payload, crcTable))
 }
 
-// journalLine is the on-disk framing of one record.
-type journalLine struct {
-	CRC string          `json:"crc"`
-	Rec json.RawMessage `json:"rec"`
-}
+// The on-disk framing of one record is exactly framePrefix, the 8-digit
+// lowercase hex checksum, frameMid, the payload bytes, and a closing
+// brace. Replay accepts only this canonical form, so every replayed
+// record re-frames to the bytes it was read from.
+const (
+	framePrefix = `{"crc":"`
+	frameMid    = `","rec":`
+	frameCRCLen = 8
+)
 
 // OpenJournal opens (creating if absent) the journal at path, replays its
 // records, and returns the journal positioned for appending plus the
@@ -56,56 +64,22 @@ type journalLine struct {
 // counted under persist.journal.torn; earlier corruption returns a
 // *CorruptError and no journal.
 func OpenJournal(path string) (*Journal, [][]byte, error) {
-	data, err := os.ReadFile(path)
-	if err != nil && !os.IsNotExist(err) {
+	records, goodLen, size, err := readJournal(path)
+	if err != nil {
 		return nil, nil, err
 	}
-	records, goodLen, repErr := replay(path, data)
-	if repErr != nil {
-		return nil, nil, repErr
-	}
-	if int64(goodLen) < int64(len(data)) {
+	if goodLen < size {
 		// Torn tail from a crash mid-append: drop it so the next append
 		// starts on a record boundary.
-		if err := os.Truncate(path, int64(goodLen)); err != nil {
+		if err := os.Truncate(path, goodLen); err != nil {
 			return nil, nil, fmt.Errorf("persist: truncating torn journal %s: %w", path, err)
 		}
-		Count("persist.journal.torn")
 	}
 	osf, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, nil, err
 	}
-	return &Journal{f: wrap(osf), path: path}, records, nil
-}
-
-// replay validates data as journal content and returns the record
-// payloads plus the byte length of the good prefix. Only the final line
-// may be bad (torn); a bad earlier line is a *CorruptError.
-func replay(path string, data []byte) (records [][]byte, goodLen int, err error) {
-	off := 0
-	line := 0
-	for off < len(data) {
-		line++
-		nl := bytes.IndexByte(data[off:], '\n')
-		if nl < 0 {
-			// No terminating newline: torn tail, tolerated.
-			return records, off, nil
-		}
-		raw := data[off : off+nl]
-		payload, perr := parseLine(raw)
-		if perr != nil {
-			if off+nl+1 >= len(data) {
-				// Bad final line (e.g. the crash raced the newline out but
-				// not the record body): tolerated like a missing newline.
-				return records, off, nil
-			}
-			return nil, 0, &CorruptError{Path: path, Line: line, Reason: perr.Error()}
-		}
-		records = append(records, payload)
-		off += nl + 1
-	}
-	return records, off, nil
+	return &Journal{f: wrap(osf), path: path, size: goodLen}, records, nil
 }
 
 // ReadJournal replays the journal at path without opening it for append
@@ -115,28 +89,51 @@ func replay(path string, data []byte) (records [][]byte, goodLen int, err error)
 // Earlier corruption is a *CorruptError, as in OpenJournal. A missing
 // file reads as an empty journal.
 func ReadJournal(path string) ([][]byte, error) {
+	records, _, _, err := readJournal(path)
+	return records, err
+}
+
+// readJournal reads and validates the journal at path (a missing file is
+// empty) and returns the record payloads plus the byte lengths of the
+// good prefix and of the whole file. Only the final line may be bad
+// (torn, counted under persist.journal.torn); a bad earlier line is a
+// *CorruptError.
+func readJournal(path string) (records [][]byte, goodLen, size int64, err error) {
 	data, err := os.ReadFile(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, nil
+	if err != nil && !os.IsNotExist(err) {
+		return nil, 0, 0, err
+	}
+	off := 0
+	for line := 1; off < len(data); line++ {
+		nl := bytes.IndexByte(data[off:], '\n')
+		if nl < 0 {
+			// No terminating newline: torn tail, tolerated.
+			break
 		}
-		return nil, err
+		payload, perr := parseLine(data[off : off+nl])
+		if perr != nil {
+			if off+nl+1 < len(data) {
+				return nil, 0, 0, &CorruptError{Path: path, Line: line, Reason: perr.Error()}
+			}
+			// Bad final line (e.g. the crash raced the newline out but not
+			// the record body): tolerated like a missing newline.
+			break
+		}
+		records = append(records, payload)
+		off += nl + 1
 	}
-	records, goodLen, repErr := replay(path, data)
-	if repErr != nil {
-		return nil, repErr
-	}
-	if goodLen < len(data) {
+	if off < len(data) {
 		Count("persist.journal.torn")
 	}
-	return records, nil
+	return records, int64(off), int64(len(data)), nil
 }
 
 // FrameRecord wraps rec (which must be a single line of valid JSON) in
 // the journal's on-disk framing — {"crc":"xxxxxxxx","rec":<payload>} plus
-// a trailing newline. It is exported so collectors that buffer records in
-// memory (internal/obs event logs) can emit journal-compatible files
-// through WriteTo instead of paying a per-record fsync.
+// a trailing newline, with the payload bytes exactly as given. It is
+// exported so collectors that buffer records in memory (internal/obs
+// event logs) can emit journal-compatible files through WriteTo instead
+// of paying a per-record fsync.
 func FrameRecord(rec []byte) ([]byte, error) {
 	if !json.Valid(rec) {
 		return nil, fmt.Errorf("persist: journal record is not valid JSON")
@@ -144,48 +141,71 @@ func FrameRecord(rec []byte) ([]byte, error) {
 	if bytes.IndexByte(rec, '\n') >= 0 {
 		return nil, fmt.Errorf("persist: journal record contains a newline")
 	}
-	frame, err := json.Marshal(journalLine{CRC: crcHex(rec), Rec: json.RawMessage(rec)})
-	if err != nil {
-		return nil, err
-	}
-	return append(frame, '\n'), nil
+	frame := append([]byte(framePrefix+crcHex(rec)+frameMid), rec...)
+	return append(frame, '}', '\n'), nil
 }
 
 // parseLine unframes one journal line and verifies its checksum.
 func parseLine(raw []byte) ([]byte, error) {
-	var jl journalLine
-	if err := json.Unmarshal(raw, &jl); err != nil {
-		return nil, fmt.Errorf("unparseable frame: %v", err)
+	crcEnd := len(framePrefix) + frameCRCLen
+	head := crcEnd + len(frameMid)
+	if len(raw) <= head || string(raw[:len(framePrefix)]) != framePrefix ||
+		string(raw[crcEnd:head]) != frameMid || raw[len(raw)-1] != '}' {
+		return nil, fmt.Errorf("unparseable frame")
 	}
-	if jl.Rec == nil {
-		return nil, fmt.Errorf("frame missing rec field")
+	crc := string(raw[len(framePrefix):crcEnd])
+	payload := raw[head : len(raw)-1]
+	if !json.Valid(payload) {
+		return nil, fmt.Errorf("unparseable frame: payload is not JSON")
 	}
-	if got := crcHex(jl.Rec); got != jl.CRC {
-		return nil, fmt.Errorf("checksum mismatch: frame says %s, payload is %s", jl.CRC, got)
+	if got := crcHex(payload); got != crc {
+		return nil, fmt.Errorf("checksum mismatch: frame says %s, payload is %s", crc, got)
 	}
-	return jl.Rec, nil
+	return payload, nil
 }
 
 // Append frames rec (which must be a single line of valid JSON), writes
-// it, and fsyncs. When Append returns nil the record is durable.
+// it, and fsyncs. When Append returns nil the record is durable; when it
+// returns an error the record is not in the journal.
 func (j *Journal) Append(rec []byte) error {
+	if j.err != nil {
+		return j.err
+	}
 	frame, err := FrameRecord(rec)
 	if err != nil {
 		return fmt.Errorf("%w (journal %s)", err, j.path)
 	}
 	if _, err := j.f.Write(frame); err != nil {
-		return fmt.Errorf("persist: appending to journal %s: %w", j.path, err)
+		return j.rollback(fmt.Errorf("persist: appending to journal %s: %w", j.path, err))
 	}
 	if err := j.f.Sync(); err != nil {
-		return fmt.Errorf("persist: syncing journal %s: %w", j.path, err)
+		return j.rollback(fmt.Errorf("persist: syncing journal %s: %w", j.path, err))
 	}
+	j.size += int64(len(frame))
 	Count("persist.journal.append")
 	return nil
 }
 
-// Close closes the journal's file handle. Records already appended remain
-// durable; the journal can be reopened with OpenJournal.
-func (j *Journal) Close() error { return j.f.Close() }
+// rollback cuts the file back to the last good record after a failed
+// write or sync. A torn frame left in place would turn the next append's
+// line into mid-file corruption, and an unsynced one could replay a
+// record Append reported as failed. If the cut itself fails, the journal
+// refuses every later append with the cause.
+func (j *Journal) rollback(cause error) error {
+	if err := os.Truncate(j.path, j.size); err != nil {
+		j.err = fmt.Errorf("%w; rollback failed, journal refuses further appends: %v", cause, err)
+		return j.err
+	}
+	Count("persist.journal.rollback")
+	return cause
+}
 
-// Path returns the journal's file path.
-func (j *Journal) Path() string { return j.path }
+// Close closes the journal's file handle; later appends fail. Records
+// already appended remain durable; the journal can be reopened with
+// OpenJournal.
+func (j *Journal) Close() error {
+	if j.err == nil {
+		j.err = fmt.Errorf("persist: journal %s is closed", j.path)
+	}
+	return j.f.Close()
+}

@@ -5,7 +5,7 @@
 // its complete new content, no matter where a crash, OOM kill, or SIGKILL
 // lands.
 //
-// Three primitives:
+// Four primitives:
 //
 //   - WriteFileAtomic writes a byte slice via a temp file in the target
 //     directory, fsyncs it, renames it over the destination, and fsyncs
@@ -16,7 +16,14 @@
 //   - Journal is an append-only JSONL log with a CRC32-C checksum per
 //     record. Replay tolerates a truncated or torn final record (the
 //     signature of a crash mid-append) by discarding it; corruption
-//     anywhere earlier is reported as a *CorruptError.
+//     anywhere earlier is reported as a *CorruptError. A failed append is
+//     rolled back, so it never leaves torn bytes ahead of a later record.
+//   - Log[R] is a durable state machine on a Journal: one reducer folds
+//     the replayed records at open, and Log.Apply appends and fsyncs each
+//     new record before the same reducer applies it. Append-before-effect
+//     holds by construction, and replay cannot drift from the live path.
+//     The graphiod job WAL, the dist coordinator WAL and the sweep
+//     manifest all run on it.
 //
 // AcquireLock adds single-writer mutual exclusion for directories that
 // hold journals (a sweep's outDir): the lock file records the owner PID,
@@ -42,9 +49,9 @@ import (
 
 // Count receives one call per notable event ("persist.commit",
 // "persist.abort", "persist.journal.append", "persist.journal.torn",
-// "persist.stale_temp"). It is a hook rather than a direct dependency so
-// the package stays import-free; internal/obs wires it to its counter
-// registry at init. The default is a no-op.
+// "persist.journal.rollback", "persist.stale_temp"). It is a hook rather
+// than a direct dependency so the package stays import-free; internal/obs
+// wires it to its counter registry at init. The default is a no-op.
 var Count = func(name string) {}
 
 // File is the subset of *os.File the writer and journal need. Crash
