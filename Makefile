@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath (no deps).
 
-.PHONY: build test test-race vet vet-strict lint lint-sarif lint-fixtures bench bench-json bench-check bench-history cover experiments experiments-quick verify-resume verify-dist verify-graphiod examples fmt
+.PHONY: build test test-race vet vet-strict lint lint-sarif lint-fixtures bench bench-json bench-check bench-history bench-kernels cover experiments experiments-quick verify-resume verify-dist verify-graphiod examples fmt
 
 build:
 	go build ./...
@@ -56,6 +56,12 @@ bench-json:
 bench-check:
 	go test -bench=. -benchmem -benchtime=3x . | go run ./cmd/benchjson -o /tmp/bench-current.json
 	go run ./cmd/obsreport -fail-over 20 BENCH_PR1.json /tmp/bench-current.json
+
+# Dense-path kernel microbenchmarks (tred2, tql2, SymEigValues at n = 256,
+# 512, 1024), one iteration each so they always compile and run; each
+# reports GFLOP/s as 4n³/3 ÷ time. Raise -benchtime for real timings.
+bench-kernels:
+	go test -run '^$$' -bench . -benchtime 1x ./internal/linalg
 
 # Multi-run trend ledger: run the benchmarks, append this run (git rev,
 # platform, ns/op per benchmark) to results/bench_history.jsonl, then

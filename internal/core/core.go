@@ -290,7 +290,7 @@ func solveSpectrum(ctx context.Context, g *graph.Graph, solver Solver, kind lapl
 		if err == nil {
 			return lambda, SolverDense, kind, nil, nil
 		}
-		if opt.NoFallback {
+		if opt.NoFallback || isInterrupt(err) {
 			return nil, solver, kind, nil, err
 		}
 		// The dense path has no iteration budget to exhaust; a failure here

@@ -218,3 +218,18 @@ func TestDeadlineDuringSolveIsNotMasked(t *testing.T) {
 		t.Fatalf("error = %v, want context.DeadlineExceeded in chain (fallbacks must not mask deadlines)", err)
 	}
 }
+
+func TestDeadlineDuringDenseSolve(t *testing.T) {
+	// n = 1024 takes the dense path; the solve runs far longer than the
+	// deadline, so the deadline expires between Householder steps.
+	g := hypercubeDAG(10)
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	res, err := SpectralBoundContext(ctx, g, Options{M: 4, MaxK: 8})
+	if err == nil {
+		t.Fatalf("dense bound ran past its deadline and returned %v", res.Bound)
+	}
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("error = %v, want context.DeadlineExceeded in chain", err)
+	}
+}

@@ -32,6 +32,15 @@ func (m *Dense) Add(i, j int, v float64) { m.Data[i*m.N+j] += v }
 // Row returns row i as a slice aliasing the matrix storage.
 func (m *Dense) Row(i int) []float64 { return m.Data[i*m.N : (i+1)*m.N] }
 
+// rows returns the row slices of m, aliasing its storage.
+func (m *Dense) rows() [][]float64 {
+	r := make([][]float64, m.N)
+	for i := range r {
+		r[i] = m.Row(i)
+	}
+	return r
+}
+
 // Clone returns a deep copy.
 func (m *Dense) Clone() *Dense {
 	c := NewDense(m.N)
@@ -77,26 +86,30 @@ func (m *Dense) IsSymmetric(tol float64) bool {
 // reduction to tridiagonal form) + tql2 (QL with implicit Wilkinson shifts),
 // ported from scratch. Cost is O(n^3).
 func SymEig(a *Dense, wantV bool) (vals []float64, vecs *Dense, err error) {
-	vals, vecs, _, err = symEig(a, wantV)
+	//lint:ignore ctx-flow SymEig has no caller ctx; its iterative callers check theirs once per sweep around this O(b³) Rayleigh–Ritz solve
+	vals, vecs, _, err = symEig(context.Background(), a, wantV)
 	return vals, vecs, err
 }
 
 // symEig is SymEig plus the QL iteration count, so top-level entry points
 // can report solver effort without inner Rayleigh-Ritz solves (Chebyshev
-// calls SymEig every sweep) polluting the counters.
-func symEig(a *Dense, wantV bool) (vals []float64, vecs *Dense, iters int, err error) {
+// calls SymEig every sweep) polluting the counters. ctx is polled once per
+// Householder step and again before the QL iteration.
+func symEig(ctx context.Context, a *Dense, wantV bool) (vals []float64, vecs *Dense, iters int, err error) {
 	n := a.N
 	if n == 0 {
 		return nil, nil, 0, nil
 	}
 	work := a.Clone()
-	rows := make([][]float64, n)
-	for i := range rows {
-		rows[i] = work.Row(i)
-	}
+	rows := work.rows()
 	d := make([]float64, n)
 	e := make([]float64, n)
-	tred2(rows, d, e, wantV)
+	if err := tred2(ctx, rows, d, e, wantV); err != nil {
+		return nil, nil, 0, err
+	}
+	if err := ctxErr(ctx, "dense"); err != nil {
+		return nil, nil, 0, err
+	}
 	var z [][]float64
 	if wantV {
 		z = rows
@@ -105,24 +118,7 @@ func symEig(a *Dense, wantV bool) (vals []float64, vecs *Dense, iters int, err e
 	if err != nil {
 		return nil, nil, iters, err
 	}
-	// Sort eigenvalues (and columns of z) ascending with a simple selection
-	// sort; n^2 swaps are negligible next to the n^3 factorization.
-	for i := 0; i < n-1; i++ {
-		k := i
-		for j := i + 1; j < n; j++ {
-			if d[j] < d[k] {
-				k = j
-			}
-		}
-		if k != i {
-			d[i], d[k] = d[k], d[i]
-			if wantV {
-				for r := 0; r < n; r++ {
-					rows[r][i], rows[r][k] = rows[r][k], rows[r][i]
-				}
-			}
-		}
-	}
+	sortEigen(d, z)
 	if wantV {
 		vecs = work
 	}
@@ -137,9 +133,10 @@ func SymEigValues(a *Dense) ([]float64, error) {
 }
 
 // SymEigValuesContext is SymEigValues with its solver counters attributed
-// to ctx's telemetry scope.
+// to ctx's telemetry scope. It returns ctx's error, wrapped, if ctx is done
+// at a Householder step or before the QL iteration.
 func SymEigValuesContext(ctx context.Context, a *Dense) ([]float64, error) {
-	vals, _, iters, err := symEig(a, false)
+	vals, _, iters, err := symEig(ctx, a, false)
 	if err == nil && obs.Enabled() {
 		obs.AddCtx(ctx, "linalg.eigensolver.iterations", int64(iters))
 		obs.AddCtx(ctx, "linalg.dense.ql_iters", int64(iters))
@@ -148,90 +145,122 @@ func SymEigValuesContext(ctx context.Context, a *Dense) ([]float64, error) {
 }
 
 // tred2 reduces the symmetric matrix a (given as row slices) to tridiagonal
-// form by Householder similarity transformations. On return d holds the
-// diagonal and e[1..n-1] the subdiagonal (e[0] = 0). If wantV, a is
-// overwritten with the accumulated orthogonal transformation Q such that
-// Q^T A Q = T; otherwise a's contents are destroyed.
-func tred2(a [][]float64, d, e []float64, wantV bool) {
+// form by Householder similarity transformations. It reads and updates only
+// the lower triangle a[j][k], k ≤ j, in row-contiguous passes; with wantV
+// the upper triangle holds u/h for each Householder vector u. On return d
+// holds the diagonal and e[1..n-1] the subdiagonal (e[0] = 0). If wantV, a
+// is overwritten with the accumulated orthogonal transformation Q such that
+// Q^T A Q = T; otherwise a's contents are destroyed. Every sum adds the same
+// terms in the same order as the column-walking EISPACK form, so d, e and Q
+// are bit-identical to it. ctx is polled once per Householder step (and
+// once per row of the Q accumulation).
+func tred2(ctx context.Context, a [][]float64, d, e []float64, wantV bool) error {
 	n := len(a)
 	for i := n - 1; i >= 1; i-- {
+		if err := ctxErr(ctx, "dense"); err != nil {
+			return err
+		}
 		l := i - 1
+		u := a[i][:i]
 		var h, scale float64
 		if l > 0 {
-			for k := 0; k <= l; k++ {
-				scale += math.Abs(a[i][k])
+			for _, v := range u {
+				scale += math.Abs(v)
 			}
 			if EqZero(scale) {
-				e[i] = a[i][l]
+				e[i] = u[l]
 			} else {
-				for k := 0; k <= l; k++ {
-					a[i][k] /= scale
-					h += a[i][k] * a[i][k]
+				for k := range u {
+					u[k] /= scale
+					h += u[k] * u[k]
 				}
-				f := a[i][l]
+				f := u[l]
 				g := math.Sqrt(h)
 				if f >= 0 {
 					g = -g
 				}
 				e[i] = scale * g
 				h -= f * g
-				a[i][l] = f - g
+				u[l] = f - g
+				// e = A·u in one ascending pass over the rows: row j gathers
+				// its k ≤ j terms into e[j], then scatters a[j][k]·u[j] into
+				// each e[k], k < j, whose own gather came first. So e[j] sums
+				// the k ≤ j terms, then the k > j terms in ascending k.
+				for j := 0; j <= l; j++ {
+					row := a[j][:j+1]
+					ej := e[:j]
+					uj := u[j]
+					g = 0
+					for k, v := range row[:j] {
+						g += v * u[k]
+						ej[k] += v * uj
+					}
+					e[j] = g + row[j]*uj
+				}
 				f = 0
 				for j := 0; j <= l; j++ {
 					if wantV {
-						a[j][i] = a[i][j] / h
+						a[j][i] = u[j] / h
 					}
-					g = 0
-					for k := 0; k <= j; k++ {
-						g += a[j][k] * a[i][k]
-					}
-					for k := j + 1; k <= l; k++ {
-						g += a[k][j] * a[i][k]
-					}
-					e[j] = g / h
-					f += e[j] * a[i][j]
+					e[j] /= h
+					f += e[j] * u[j]
 				}
 				hh := f / (h + h)
 				for j := 0; j <= l; j++ {
-					f = a[i][j]
+					f = u[j]
 					g = e[j] - hh*f
 					e[j] = g
-					for k := 0; k <= j; k++ {
-						a[j][k] -= f*e[k] + g*a[i][k]
+					row := a[j][:j+1]
+					for k := range row {
+						row[k] -= f*e[k] + g*u[k]
 					}
 				}
 			}
 		} else {
-			e[i] = a[i][l]
+			e[i] = u[l]
 		}
 		d[i] = h
 	}
 	d[0] = 0
 	e[0] = 0
-	for i := 0; i < n; i++ {
-		if wantV {
-			l := i - 1
-			if !EqZero(d[i]) {
-				for j := 0; j <= l; j++ {
-					g := 0.0
-					for k := 0; k <= l; k++ {
-						g += a[i][k] * a[k][j]
-					}
-					for k := 0; k <= l; k++ {
-						a[k][j] -= g * a[k][i]
-					}
-				}
-			}
-			d[i] = a[i][i]
-			a[i][i] = 1
-			for j := 0; j <= l; j++ {
-				a[j][i] = 0
-				a[i][j] = 0
-			}
-		} else {
+	if !wantV {
+		for i := range d {
 			d[i] = a[i][i]
 		}
+		return nil
 	}
+	// Accumulate Q in row passes: g[j] = Σ_{k<i} a[i][k]·a[k][j] adds over
+	// rows k in ascending order, the column form's order, and every g[j] is
+	// formed before any column is updated, as the column form's g was.
+	buf := make([]float64, n)
+	for i := 0; i < n; i++ {
+		if err := ctxErr(ctx, "dense"); err != nil {
+			return err
+		}
+		if !EqZero(d[i]) {
+			g := buf[:i]
+			clear(g)
+			for k, aik := range a[i][:i] {
+				for j, v := range a[k][:i] {
+					g[j] += aik * v
+				}
+			}
+			for k := 0; k < i; k++ {
+				aki := a[k][i]
+				row := a[k][:i]
+				for j := range row {
+					row[j] -= g[j] * aki
+				}
+			}
+		}
+		d[i] = a[i][i]
+		a[i][i] = 1
+		for j := 0; j < i; j++ {
+			a[j][i] = 0
+			a[i][j] = 0
+		}
+	}
+	return nil
 }
 
 // tql2 computes the eigenvalues (and, if z is non-nil, eigenvectors) of a
@@ -334,16 +363,23 @@ func TridiagEig(diag, sub []float64, wantV bool) (vals []float64, vecs *Dense, e
 	var zm *Dense
 	if wantV {
 		zm = NewDense(n)
-		z = make([][]float64, n)
-		for i := range z {
-			z[i] = zm.Row(i)
-			z[i][i] = 1
+		z = zm.rows()
+		for i, row := range z {
+			row[i] = 1
 		}
 	}
 	if _, err := tql2(d, e, z); err != nil {
 		return nil, nil, err
 	}
-	// Selection sort ascending, permuting columns of z alongside.
+	sortEigen(d, z)
+	return d, zm, nil
+}
+
+// sortEigen sorts d ascending with a selection sort, swapping the columns
+// of z (when non-nil) alongside; n^2 swaps are negligible next to the n^3
+// factorization.
+func sortEigen(d []float64, z [][]float64) {
+	n := len(d)
 	for i := 0; i < n-1; i++ {
 		k := i
 		for j := i + 1; j < n; j++ {
@@ -353,12 +389,9 @@ func TridiagEig(diag, sub []float64, wantV bool) (vals []float64, vecs *Dense, e
 		}
 		if k != i {
 			d[i], d[k] = d[k], d[i]
-			if wantV {
-				for r := 0; r < n; r++ {
-					z[r][i], z[r][k] = z[r][k], z[r][i]
-				}
+			for _, row := range z {
+				row[i], row[k] = row[k], row[i]
 			}
 		}
 	}
-	return d, zm, nil
 }

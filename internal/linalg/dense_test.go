@@ -1,6 +1,8 @@
 package linalg
 
 import (
+	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -295,5 +297,202 @@ func TestDenseIsSymmetric(t *testing.T) {
 	m.Set(1, 0, 1)
 	if !m.IsSymmetric(1e-12) {
 		t.Error("symmetric matrix reported asymmetric")
+	}
+}
+
+// tred2Ref is the column-walking EISPACK tred2 the row-oriented tred2
+// replaced, kept verbatim as the bit-identity oracle.
+func tred2Ref(a [][]float64, d, e []float64, wantV bool) {
+	n := len(a)
+	for i := n - 1; i >= 1; i-- {
+		l := i - 1
+		var h, scale float64
+		if l > 0 {
+			for k := 0; k <= l; k++ {
+				scale += math.Abs(a[i][k])
+			}
+			if EqZero(scale) {
+				e[i] = a[i][l]
+			} else {
+				for k := 0; k <= l; k++ {
+					a[i][k] /= scale
+					h += a[i][k] * a[i][k]
+				}
+				f := a[i][l]
+				g := math.Sqrt(h)
+				if f >= 0 {
+					g = -g
+				}
+				e[i] = scale * g
+				h -= f * g
+				a[i][l] = f - g
+				f = 0
+				for j := 0; j <= l; j++ {
+					if wantV {
+						a[j][i] = a[i][j] / h
+					}
+					g = 0
+					for k := 0; k <= j; k++ {
+						g += a[j][k] * a[i][k]
+					}
+					for k := j + 1; k <= l; k++ {
+						g += a[k][j] * a[i][k]
+					}
+					e[j] = g / h
+					f += e[j] * a[i][j]
+				}
+				hh := f / (h + h)
+				for j := 0; j <= l; j++ {
+					f = a[i][j]
+					g = e[j] - hh*f
+					e[j] = g
+					for k := 0; k <= j; k++ {
+						a[j][k] -= f*e[k] + g*a[i][k]
+					}
+				}
+			}
+		} else {
+			e[i] = a[i][l]
+		}
+		d[i] = h
+	}
+	d[0] = 0
+	e[0] = 0
+	for i := 0; i < n; i++ {
+		if wantV {
+			l := i - 1
+			if !EqZero(d[i]) {
+				for j := 0; j <= l; j++ {
+					g := 0.0
+					for k := 0; k <= l; k++ {
+						g += a[i][k] * a[k][j]
+					}
+					for k := 0; k <= l; k++ {
+						a[k][j] -= g * a[k][i]
+					}
+				}
+			}
+			d[i] = a[i][i]
+			a[i][i] = 1
+			for j := 0; j <= l; j++ {
+				a[j][i] = 0
+				a[i][j] = 0
+			}
+		} else {
+			d[i] = a[i][i]
+		}
+	}
+}
+
+// isolatedLaplacian is the path Laplacian on n−1 vertices plus an isolated
+// last vertex, whose all-zero row sends tred2's first step down the
+// EqZero(scale) branch.
+func isolatedLaplacian(n int) *Dense {
+	m := NewDense(n)
+	p := pathLaplacian(n - 1)
+	for i := 0; i < n-1; i++ {
+		copy(m.Row(i), p.Row(i))
+	}
+	return m
+}
+
+// oracleInputs are the matrices the row-oriented kernels must reproduce
+// the reference on bit for bit.
+func oracleInputs() map[string]*Dense {
+	rng := rand.New(rand.NewSource(13))
+	in := map[string]*Dense{
+		"path40":     pathLaplacian(40),
+		"cycle33":    cycleLaplacian(33),
+		"complete12": completeLaplacian(12),
+		"isolated9":  isolatedLaplacian(9),
+	}
+	for _, n := range []int{1, 2, 3, 5, 64, 257} {
+		in[fmt.Sprintf("random%d", n)] = randomSymmetric(rng, n)
+	}
+	return in
+}
+
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// refTridiag runs tred2Ref on a copy of a.
+func refTridiag(a *Dense, wantV bool) (d, e []float64, q *Dense) {
+	q = a.Clone()
+	d = make([]float64, a.N)
+	e = make([]float64, a.N)
+	tred2Ref(q.rows(), d, e, wantV)
+	return d, e, q
+}
+
+func TestTred2BitIdenticalToColumnForm(t *testing.T) {
+	for name, a := range oracleInputs() {
+		for _, wantV := range []bool{false, true} {
+			wd, we, wq := refTridiag(a, wantV)
+			q := a.Clone()
+			d := make([]float64, a.N)
+			e := make([]float64, a.N)
+			if err := tred2(context.Background(), q.rows(), d, e, wantV); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if !sameBits(d, wd) || !sameBits(e, we) {
+				t.Errorf("%s wantV=%v: d or e differs from the column form", name, wantV)
+			}
+			if wantV && !sameBits(q.Data, wq.Data) {
+				t.Errorf("%s: Q differs from the column form", name)
+			}
+		}
+	}
+}
+
+func TestSymEigAndBisectBitIdenticalToColumnForm(t *testing.T) {
+	for name, a := range oracleInputs() {
+		n := a.N
+		wd, we, wq := refTridiag(a, true)
+		z := wq.rows()
+		if _, err := tql2(wd, we, z); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		sortEigen(wd, z)
+		vals, vecs, err := SymEig(a, true)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !sameBits(vals, wd) || !sameBits(vecs.Data, wq.Data) {
+			t.Errorf("%s: SymEig(wantV) differs from the column form", name)
+		}
+
+		bd, be, _ := refTridiag(a, false)
+		want, err := TridiagEigBisect(bd, be[1:], 0, n-1)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		got, err := SymEigBisect(a, 0, n-1)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !sameBits(got, want) {
+			t.Errorf("%s: SymEigBisect differs from the column form", name)
+		}
+
+		if _, err := tql2(bd, be, nil); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		sortEigen(bd, nil)
+		vals, err = SymEigValues(a)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !sameBits(vals, bd) {
+			t.Errorf("%s: SymEigValues differs from the column form", name)
+		}
 	}
 }

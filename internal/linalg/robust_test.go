@@ -145,6 +145,9 @@ func TestSolversHonorCancelledContext(t *testing.T) {
 		{"power", func() ([]float64, error) {
 			return linalg.PowerSmallestPSDContext(ctx, m, c, 4, nil)
 		}},
+		{"dense", func() ([]float64, error) {
+			return linalg.SymEigValuesContext(ctx, m.ToDense())
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -141,13 +141,11 @@ func SymEigBisect(a *Dense, lo, hi int) ([]float64, error) {
 	if n == 0 {
 		return nil, nil
 	}
-	work := a.Clone()
-	rows := make([][]float64, n)
-	for i := range rows {
-		rows[i] = work.Row(i)
-	}
 	d := make([]float64, n)
 	e := make([]float64, n)
-	tred2(rows, d, e, false)
+	//lint:ignore ctx-flow SymEigBisect has no caller ctx; it is a cross-check of SymEig and runs on no deadline-bound path
+	if err := tred2(context.Background(), a.Clone().rows(), d, e, false); err != nil {
+		return nil, err
+	}
 	return TridiagEigBisect(d, e[1:], lo, hi)
 }
