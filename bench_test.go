@@ -132,25 +132,10 @@ func BenchmarkSandwichSimulationFFT6(b *testing.B) {
 	}
 }
 
-// Solver ablation (DESIGN.md A2): the same spectrum three ways.
+// Solver ablation (DESIGN.md A2): the same spectrum both ways.
 
 func BenchmarkSolverDenseBHK8(b *testing.B) {
 	benchSpectral(b, gen.BellmanHeldKarp(8), 16, core.SolverDense)
-}
-func BenchmarkSolverLanczosBHK8(b *testing.B) {
-	benchSpectral(b, gen.BellmanHeldKarp(8), 16, core.SolverLanczos)
-}
-func BenchmarkSolverPowerBHK8(b *testing.B) {
-	// Deflated power iteration converges linearly in the eigenvalue gap
-	// ratio; h = 20 is its realistic operating range (the other solvers
-	// run the full h = 100 default).
-	g := gen.BellmanHeldKarp(8)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.SpectralBound(g, core.Options{M: 16, MaxK: 20, Solver: core.SolverPower}); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 func BenchmarkSolverChebyshevBHK8(b *testing.B) {
 	benchSpectral(b, gen.BellmanHeldKarp(8), 16, core.SolverChebyshev)
@@ -167,21 +152,6 @@ func BenchmarkEigDensePath256(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := linalg.SymEigValues(L.Clone()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkLanczosFFT8h50(b *testing.B) {
-	g := gen.FFT(8)
-	L, err := laplacian.BuildCSR(g, laplacian.OutDegreeNormalized)
-	if err != nil {
-		b.Fatal(err)
-	}
-	c := L.GershgorinUpper()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := linalg.SmallestEigsPSD(L, c, 50, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

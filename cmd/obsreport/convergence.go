@@ -8,7 +8,7 @@ package main
 // — and attributes wall time to solver phases from the event timestamps.
 //
 //	obsreport convergence run.events.jsonl
-//	obsreport convergence -probe linalg.lanczos -plateau-tol 0.5 run.events.jsonl
+//	obsreport convergence -probe linalg.cheb -plateau-tol 0.5 run.events.jsonl
 
 import (
 	"encoding/json"

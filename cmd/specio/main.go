@@ -200,23 +200,6 @@ func parseKind(s string) (laplacian.Kind, error) {
 	}
 }
 
-func parseSolver(s string) (core.Solver, error) {
-	switch strings.ToLower(s) {
-	case "auto":
-		return core.SolverAuto, nil
-	case "dense":
-		return core.SolverDense, nil
-	case "lanczos":
-		return core.SolverLanczos, nil
-	case "power":
-		return core.SolverPower, nil
-	case "chebyshev", "cheb":
-		return core.SolverChebyshev, nil
-	default:
-		return 0, fmt.Errorf("unknown solver %q (want auto|dense|lanczos|power|chebyshev)", s)
-	}
-}
-
 func cmdBound(args []string) (err error) {
 	fs := flag.NewFlagSet("bound", flag.ExitOnError)
 	load := graphFlags(fs)
@@ -224,7 +207,7 @@ func cmdBound(args []string) (err error) {
 	maxK := fs.Int("k", 100, "number of eigenvalues / top of the k sweep (h)")
 	lap := fs.String("laplacian", "normalized", "normalized (Theorem 4) or original (Theorem 5)")
 	procs := fs.Int("p", 1, "processors (Theorem 6 when > 1)")
-	solver := fs.String("solver", "auto", "eigensolver: auto|dense|lanczos|power")
+	solver := fs.String("solver", "auto", "eigensolver: auto|dense|chebyshev")
 	ofl := obs.AddFlags(fs)
 	_ = fs.Parse(args) // ExitOnError: Parse cannot return an error
 	if err := ofl.Begin(); err != nil {
@@ -239,7 +222,7 @@ func cmdBound(args []string) (err error) {
 	if err != nil {
 		return err
 	}
-	sol, err := parseSolver(*solver)
+	sol, err := core.ParseSolver(*solver)
 	if err != nil {
 		return err
 	}
@@ -281,7 +264,7 @@ func cmdSpectrum(args []string) (err error) {
 	load := graphFlags(fs)
 	maxK := fs.Int("k", 20, "how many of the smallest eigenvalues to print")
 	lap := fs.String("laplacian", "normalized", "normalized or original")
-	solver := fs.String("solver", "auto", "auto|dense|lanczos|power")
+	solver := fs.String("solver", "auto", "eigensolver: auto|dense|chebyshev")
 	ofl := obs.AddFlags(fs)
 	_ = fs.Parse(args) // ExitOnError: Parse cannot return an error
 	if err := ofl.Begin(); err != nil {
@@ -296,7 +279,7 @@ func cmdSpectrum(args []string) (err error) {
 	if err != nil {
 		return err
 	}
-	sol, err := parseSolver(*solver)
+	sol, err := core.ParseSolver(*solver)
 	if err != nil {
 		return err
 	}

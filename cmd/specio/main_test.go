@@ -29,17 +29,20 @@ func TestParseKind(t *testing.T) {
 
 func TestParseSolver(t *testing.T) {
 	cases := map[string]core.Solver{
-		"auto": core.SolverAuto, "dense": core.SolverDense,
-		"Lanczos": core.SolverLanczos, "POWER": core.SolverPower,
+		"auto": core.SolverAuto, "": core.SolverAuto, "dense": core.SolverDense,
+		"Chebyshev": core.SolverChebyshev, " cheb ": core.SolverChebyshev,
 	}
 	for in, want := range cases {
-		got, err := parseSolver(in)
+		got, err := core.ParseSolver(in)
 		if err != nil || got != want {
-			t.Errorf("parseSolver(%q) = %v, %v", in, got, err)
+			t.Errorf("ParseSolver(%q) = %v, %v", in, got, err)
 		}
 	}
-	if _, err := parseSolver("qr"); err == nil {
-		t.Error("bogus solver accepted")
+	// lanczos and power name retired solvers.
+	for _, in := range []string{"qr", "lanczos", "POWER"} {
+		if _, err := core.ParseSolver(in); err == nil {
+			t.Errorf("solver %q accepted", in)
+		}
 	}
 }
 

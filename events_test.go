@@ -1,10 +1,9 @@
 package graphio_test
 
-// End-to-end check of the ISSUE 6 acceptance criterion: with the event
-// collector on (the -events-out path), all three bound engines — spectral
-// (Lanczos/Chebyshev + bisection), min-cut (Dinic), and pebble — emit
-// per-iteration probe events, and the dumped log replays as a CRC-clean
-// persist journal.
+// End-to-end check: with the event collector on (the -events-out path),
+// all three bound engines — spectral (Chebyshev + bisection), min-cut
+// (Dinic), and pebble — emit per-iteration probe events, and the dumped log
+// replays as a CRC-clean persist journal.
 
 import (
 	"encoding/json"
@@ -30,12 +29,10 @@ func TestAllBoundEnginesEmitEvents(t *testing.T) {
 
 	g := gen.FFT(4)
 
-	// Spectral engine, forced onto the iterative solvers (SolverAuto would
-	// take the dense path at this size and skip the instrumented loops).
-	for _, s := range []core.Solver{core.SolverLanczos, core.SolverChebyshev} {
-		if _, err := core.SpectralBound(g, core.Options{M: 4, Solver: s, DenseCutoff: 1}); err != nil {
-			t.Fatalf("spectral bound (solver %v): %v", s, err)
-		}
+	// Spectral engine, forced onto the Chebyshev solver (SolverAuto would
+	// take the dense path at this size and skip the instrumented loop).
+	if _, err := core.SpectralBound(g, core.Options{M: 4, Solver: core.SolverChebyshev}); err != nil {
+		t.Fatalf("spectral bound: %v", err)
 	}
 	// Bisection refinements (the spectral cross-check path).
 	if _, err := linalg.TridiagEigBisect([]float64{2, 3, 4, 5}, []float64{1, 1, 1}, 0, 2); err != nil {
@@ -69,7 +66,7 @@ func TestAllBoundEnginesEmitEvents(t *testing.T) {
 		probes[ev.Probe]++
 	}
 	for _, want := range []string{
-		"linalg.lanczos", "linalg.cheb", "linalg.bisect",
+		"linalg.cheb", "linalg.bisect",
 		"maxflow.dinic", "mincut.sweep",
 		"pebble.simulate", "pebble.best_order",
 	} {

@@ -21,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 	"time"
 
 	"graphio/internal/graph"
@@ -29,28 +30,24 @@ import (
 	"graphio/internal/obs"
 )
 
-// Solver selects the eigenvalue backend.
+// Solver selects the eigenvalue backend. The numeric values enter
+// experiment config hashes, so they never change: 2 and 3 belonged to
+// retired solvers (Lanczos and deflated power iteration).
 type Solver int
 
 const (
 	// SolverAuto uses the dense solver below Options.DenseCutoff vertices
 	// and Chebyshev-filtered subspace iteration above it.
-	SolverAuto Solver = iota
+	SolverAuto Solver = 0
 	// SolverDense computes the full spectrum with the O(n^3) dense solver.
-	SolverDense
-	// SolverLanczos computes the h smallest eigenvalues with deflated,
-	// fully reorthogonalized Lanczos — the paper's "Lanczos-Arnoldi" path.
-	SolverLanczos
-	// SolverPower computes the h smallest eigenvalues with deflated power
-	// iteration — the paper's "computable by power iteration" remark.
-	SolverPower
+	SolverDense Solver = 1
 	// SolverChebyshev computes the h smallest eigenvalues with
-	// Chebyshev-filtered subspace iteration — a block method that handles
-	// the clustered, high-multiplicity spectra of structured computation
-	// graphs (butterflies, hypercubes, Strassen) orders of magnitude
-	// faster than single-vector Lanczos. The SolverAuto default above the
-	// dense cutoff.
-	SolverChebyshev
+	// Chebyshev-filtered subspace iteration — a polynomial-accelerated
+	// block power iteration (the paper's "computable by power iteration"
+	// route) that handles the clustered, high-multiplicity spectra of
+	// structured computation graphs (butterflies, hypercubes, Strassen).
+	// The SolverAuto default above the dense cutoff.
+	SolverChebyshev Solver = 4
 )
 
 func (s Solver) String() string {
@@ -59,14 +56,25 @@ func (s Solver) String() string {
 		return "auto"
 	case SolverDense:
 		return "dense"
-	case SolverLanczos:
-		return "lanczos"
-	case SolverPower:
-		return "power"
 	case SolverChebyshev:
 		return "chebyshev"
 	default:
 		return fmt.Sprintf("Solver(%d)", int(s))
+	}
+}
+
+// ParseSolver maps a solver name, trimmed and case-insensitive, to its
+// Solver: "" or "auto", "dense", and "chebyshev" or "cheb".
+func ParseSolver(name string) (Solver, error) {
+	switch strings.ToLower(strings.TrimSpace(name)) {
+	case "", "auto":
+		return SolverAuto, nil
+	case "dense":
+		return SolverDense, nil
+	case "chebyshev", "cheb":
+		return SolverChebyshev, nil
+	default:
+		return 0, fmt.Errorf("unknown solver %q (want auto, dense or chebyshev)", name)
 	}
 }
 
@@ -99,21 +107,17 @@ type Options struct {
 	// DenseCutoff is the vertex count at or below which SolverAuto picks
 	// the dense path. Default 1024.
 	DenseCutoff int
-	// Lanczos overrides the Lanczos solver options.
-	Lanczos *linalg.LanczosOptions
-	// Power overrides the power-iteration solver options.
-	Power *linalg.PowerOptions
 	// Chebyshev overrides the filtered-subspace solver options.
 	Chebyshev *linalg.ChebOptions
 	// WrapOperator, when non-nil, wraps the sparse Laplacian operator
-	// before it reaches an iterative eigensolver. It is applied fresh for
+	// before it reaches the Chebyshev eigensolver. It is applied fresh for
 	// every solver attempt, so stateful wrappers (fault injectors, probes)
 	// observe each attempt independently. The dense path builds its own
 	// matrix and is never wrapped.
 	WrapOperator func(linalg.Operator) linalg.Operator
 	// DenseFallbackCap is the largest vertex count for which the escalation
-	// chain may fall back to the O(n^3) dense solver after every iterative
-	// solver has failed. Default 2048; negative disables the dense fallback.
+	// chain may fall back to the O(n^3) dense solver after both Chebyshev
+	// attempts have failed. Default 2048; negative disables the dense fallback.
 	DenseFallbackCap int
 	// NoFallback disables the escalation chain entirely: the first solver
 	// failure is returned as an error, matching pre-fallback behavior.
@@ -190,12 +194,12 @@ func SpectralBound(g *graph.Graph, opt Options) (*Result, error) {
 // iteration boundaries; cancellation aborts the solve immediately without
 // attempting fallbacks. When a solver fails for any other reason and
 // Options.NoFallback is unset, an escalation chain tries progressively more
-// robust configurations: one retry with a perturbed start seed, the
-// remaining iterative solvers (Lanczos, then Chebyshev), the dense solver
-// when n ≤ Options.DenseFallbackCap, and finally the Theorem 5 route
-// (original Laplacian with the max-out-degree divisor) when Theorem 4 was
-// requested. Every degradation is recorded in Result.Fallbacks and counted
-// under the core.fallback.* observability counters.
+// robust configurations: one Chebyshev retry with a perturbed start seed,
+// the dense solver when n ≤ Options.DenseFallbackCap, and finally the
+// Theorem 5 route (original Laplacian with the max-out-degree divisor)
+// when Theorem 4 was requested. Every degradation is recorded in
+// Result.Fallbacks and counted under the core.fallback.* observability
+// counters.
 func SpectralBoundContext(ctx context.Context, g *graph.Graph, opt Options) (*Result, error) {
 	opt = opt.withDefaults()
 	if err := opt.validate(); err != nil {
@@ -221,7 +225,7 @@ func SpectralBoundContext(ctx context.Context, g *graph.Graph, opt Options) (*Re
 			solver = SolverChebyshev
 		}
 	}
-	if solver != SolverDense && solver != SolverLanczos && solver != SolverPower && solver != SolverChebyshev {
+	if solver != SolverDense && solver != SolverChebyshev {
 		return nil, fmt.Errorf("core: unknown solver %v", opt.Solver)
 	}
 
@@ -297,11 +301,10 @@ func solveSpectrum(ctx context.Context, g *graph.Graph, solver Solver, kind lapl
 		// means a degenerate matrix. The iterative chain below is still
 		// worth a shot before giving up.
 		events = recordFallback(ctx, events, "solver",
-			fmt.Sprintf("dense solve failed (%v); escalating to iterative solvers", err))
-		solver = SolverChebyshev
+			fmt.Sprintf("dense solve failed (%v); escalating to Chebyshev", err))
 	}
 
-	lambda, used, evs, err := iterativeChain(ctx, g, solver, kind, h, opt, sp)
+	lambda, used, evs, err := iterativeChain(ctx, g, kind, h, opt, sp)
 	events = append(events, evs...)
 	if err == nil {
 		return lambda, used, kind, events, nil
@@ -316,7 +319,7 @@ func solveSpectrum(ctx context.Context, g *graph.Graph, solver Solver, kind lapl
 	if kind == laplacian.OutDegreeNormalized {
 		events = recordFallback(ctx, events, "theorem5",
 			fmt.Sprintf("all solvers failed on the normalized Laplacian (%v); falling back to the Theorem 5 bound on the original Laplacian", err))
-		lambda, used, evs, err5 := iterativeChain(ctx, g, SolverChebyshev, laplacian.Original, h, opt, sp)
+		lambda, used, evs, err5 := iterativeChain(ctx, g, laplacian.Original, h, opt, sp)
 		events = append(events, evs...)
 		if err5 == nil {
 			return lambda, used, laplacian.Original, events, nil
@@ -329,76 +332,57 @@ func solveSpectrum(ctx context.Context, g *graph.Graph, solver Solver, kind lapl
 	return nil, used, kind, events, fmt.Errorf("core: all eigensolve fallbacks exhausted: %w", err)
 }
 
-// iterativeChain tries the requested iterative solver, a perturbed-seed
-// retry of it, the remaining iterative solvers, and finally the dense
-// solver when n is below Options.DenseFallbackCap.
-func iterativeChain(ctx context.Context, g *graph.Graph, requested Solver, kind laplacian.Kind, h int, opt Options, sp *obs.Span) ([]float64, Solver, []string, error) {
+// iterativeChain runs the Chebyshev solver, retries it once with a
+// perturbed start seed, and finally falls back to the dense solver when n
+// is at most Options.DenseFallbackCap.
+func iterativeChain(ctx context.Context, g *graph.Graph, kind laplacian.Kind, h int, opt Options, sp *obs.Span) ([]float64, Solver, []string, error) {
 	lsp := sp.Child("laplacian")
 	L, err := laplacian.BuildCSR(g, kind)
 	lsp.End()
 	if err != nil {
-		return nil, requested, nil, fmt.Errorf("core: building Laplacian: %w", err)
+		return nil, SolverChebyshev, nil, fmt.Errorf("core: building Laplacian: %w", err)
 	}
 	c := L.GershgorinUpper()
 
-	attempts := []solveAttempt{{requested, false}}
-	if !opt.NoFallback {
-		attempts = append(attempts, solveAttempt{requested, true})
-		for _, s := range []Solver{SolverLanczos, SolverChebyshev} {
-			if s != requested {
-				attempts = append(attempts, solveAttempt{s, false})
-			}
-		}
-	}
-
 	var events []string
 	var firstErr error
-	used := requested
-	for i, at := range attempts {
+	for _, perturb := range []bool{false, true} {
 		if err := ctx.Err(); err != nil {
-			return nil, used, events, fmt.Errorf("core: eigensolve interrupted: %w", err)
+			return nil, SolverChebyshev, events, fmt.Errorf("core: eigensolve interrupted: %w", err)
 		}
-		used = at.solver
-		lambda, err := attemptSolve(ctx, L, c, h, at, opt, sp)
+		lambda, err := attemptSolve(ctx, L, c, h, perturb, opt, sp)
 		if err == nil {
 			if ferr := linalg.CheckFinite("eigensolve output", lambda); ferr != nil {
 				obs.IncCtx(ctx, "core.fallback.nonfinite")
-				err = &NonFiniteError{Where: fmt.Sprintf("%v eigensolve output", at.solver)}
+				err = &NonFiniteError{Where: "chebyshev eigensolve output"}
 			} else {
-				return lambda, at.solver, events, nil
+				return lambda, SolverChebyshev, events, nil
 			}
 		}
 		if isInterrupt(err) {
 			if errors.Is(err, context.DeadlineExceeded) {
 				obs.IncCtx(ctx, "core.deadline.hit")
 			}
-			return nil, used, events, fmt.Errorf("core: %v eigensolve: %w", at.solver, err)
+			return nil, SolverChebyshev, events, fmt.Errorf("core: chebyshev eigensolve: %w", err)
 		}
 		if firstErr == nil {
-			firstErr = fmt.Errorf("core: %v eigensolve: %w", at.solver, err)
+			firstErr = fmt.Errorf("core: chebyshev eigensolve: %w", err)
 		}
 		if opt.NoFallback {
-			return nil, used, events, firstErr
+			return nil, SolverChebyshev, events, firstErr
 		}
-		// Describe the step the chain takes next, if any.
-		if i+1 < len(attempts) {
-			next := attempts[i+1]
-			if next.perturb {
-				events = recordFallback(ctx, events, "retry",
-					fmt.Sprintf("%v failed (%v); retrying with a perturbed start seed", at.solver, err))
-			} else {
-				events = recordFallback(ctx, events, "solver",
-					fmt.Sprintf("%v failed (%v); switching to %v", at.solver, err, next.solver))
-			}
+		if !perturb {
+			events = recordFallback(ctx, events, "retry",
+				fmt.Sprintf("chebyshev failed (%v); retrying with a perturbed start seed", err))
 		} else {
-			events = append(events, fmt.Sprintf("%v failed (%v)", at.solver, err))
+			events = append(events, fmt.Sprintf("chebyshev failed (%v)", err))
 		}
 	}
 
 	// Dense terminal step for this Laplacian kind, size permitting.
 	if opt.DenseFallbackCap >= 0 && g.N() <= opt.DenseFallbackCap {
 		events = recordFallback(ctx, events, "dense",
-			"all iterative solvers failed; falling back to the dense solver")
+			"both chebyshev attempts failed; falling back to the dense solver")
 		lambda, err := denseSpectrum(ctx, g, kind, h, sp)
 		if err == nil {
 			if ferr := linalg.CheckFinite("dense eigensolve output", lambda); ferr != nil {
@@ -409,18 +393,12 @@ func iterativeChain(ctx context.Context, g *graph.Graph, requested Solver, kind 
 		}
 		return nil, SolverDense, events, errors.Join(firstErr, err)
 	}
-	return nil, used, events, firstErr
+	return nil, SolverChebyshev, events, firstErr
 }
 
-// solveAttempt names one step of the iterative escalation chain.
-type solveAttempt struct {
-	solver  Solver
-	perturb bool
-}
-
-// attemptSolve runs one iterative eigensolve with a freshly wrapped operator
-// and, when the attempt is a retry, a perturbed deterministic start seed.
-func attemptSolve(ctx context.Context, L *linalg.CSR, c float64, h int, at solveAttempt, opt Options, sp *obs.Span) ([]float64, error) {
+// attemptSolve runs one Chebyshev eigensolve with a freshly wrapped
+// operator and, when perturb is set, a perturbed deterministic start seed.
+func attemptSolve(ctx context.Context, L *linalg.CSR, c float64, h int, perturb bool, opt Options, sp *obs.Span) ([]float64, error) {
 	var op linalg.Operator = L
 	if opt.WrapOperator != nil {
 		op = opt.WrapOperator(op)
@@ -431,29 +409,12 @@ func attemptSolve(ctx context.Context, L *linalg.CSR, c float64, h int, at solve
 		op = cnt
 	}
 	esp := sp.Child("eigensolve")
-	esp.SetStr("solver", at.solver.String())
-	var lambda []float64
-	var err error
-	switch at.solver {
-	case SolverLanczos:
-		lo := opt.Lanczos
-		if at.perturb {
-			lo = perturbLanczos(lo)
-		}
-		lambda, err = linalg.SmallestEigsPSDContext(ctx, op, c, h, lo)
-	case SolverPower:
-		po := opt.Power
-		if at.perturb {
-			po = perturbPower(po)
-		}
-		lambda, err = linalg.PowerSmallestPSDContext(ctx, op, c, h, po)
-	default:
-		co := opt.Chebyshev
-		if at.perturb {
-			co = perturbCheb(co)
-		}
-		lambda, err = linalg.ChebFilteredSmallestContext(ctx, op, c, h, co)
+	esp.SetStr("solver", SolverChebyshev.String())
+	co := opt.Chebyshev
+	if perturb {
+		co = perturbCheb(co)
 	}
+	lambda, err := linalg.ChebFilteredSmallestContext(ctx, op, c, h, co)
 	if cnt != nil {
 		obs.AddCtx(ctx, "linalg.matvecs", cnt.Count())
 	}
@@ -496,44 +457,23 @@ func isInterrupt(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-// nextSeed advances a deterministic seed for a perturbed retry: an LCG step
-// so the retry explores a genuinely different start vector while the whole
+// perturbCheb copies o with its start seed advanced by an LCG step, so a
+// retry explores a genuinely different start block while the whole
 // escalation chain stays reproducible.
-func nextSeed(s int64) int64 {
-	if s == 0 {
-		s = 1 // solvers treat 0 as "use the default"
-	}
-	s = s*6364136223846793005 + 1442695040888963407
-	if s == 0 {
-		s = 7
-	}
-	return s
-}
-
-func perturbLanczos(o *linalg.LanczosOptions) *linalg.LanczosOptions {
-	var out linalg.LanczosOptions
-	if o != nil {
-		out = *o
-	}
-	out.Seed = nextSeed(out.Seed)
-	return &out
-}
-
-func perturbPower(o *linalg.PowerOptions) *linalg.PowerOptions {
-	var out linalg.PowerOptions
-	if o != nil {
-		out = *o
-	}
-	out.Seed = nextSeed(out.Seed)
-	return &out
-}
-
 func perturbCheb(o *linalg.ChebOptions) *linalg.ChebOptions {
 	var out linalg.ChebOptions
 	if o != nil {
 		out = *o
 	}
-	out.Seed = nextSeed(out.Seed)
+	s := out.Seed
+	if s == 0 {
+		s = 1 // the solver treats 0 as "use the default"
+	}
+	s = s*6364136223846793005 + 1442695040888963407
+	if s == 0 {
+		s = 7
+	}
+	out.Seed = s
 	return &out
 }
 

@@ -9,7 +9,6 @@ import (
 	"graphio/internal/gen"
 	"graphio/internal/graph"
 	"graphio/internal/laplacian"
-	"graphio/internal/linalg"
 	"graphio/internal/mincut"
 	"graphio/internal/partition"
 	"graphio/internal/pebble"
@@ -240,15 +239,13 @@ func TableLambda2(ctx context.Context, cfg Config) (*Table, error) {
 		}
 		p := cfg.ERP0 * math.Log(float64(n)) / float64(n-1)
 		g := gen.ErdosRenyiDAG(n, p, cfg.Seed)
-		L, err := laplacian.BuildCSR(g, laplacian.Original)
+		res, err := core.SpectralBoundContext(ctx, g, core.Options{
+			M: 1, MaxK: 2, Laplacian: laplacian.Original, Solver: cfg.Solver,
+		})
 		if err != nil {
 			return nil, err
 		}
-		eigs, err := linalg.SmallestEigsPSD(L, L.GershgorinUpper(), 2, nil)
-		if err != nil {
-			return nil, err
-		}
-		lambda2 := eigs[1]
+		lambda2 := res.Eigenvalues[1]
 		pred := cfg.ERP0 * math.Log(float64(n)) * (1 - math.Sqrt(2/cfg.ERP0))
 		ratio := lambda2 / pred
 		t.AddRow(inum(n), fmt.Sprintf("%.4f", p), fnum(lambda2), fnum(pred),

@@ -60,12 +60,7 @@ func (srv *Server) resolveGraph(spec jobSpec) (*graph.Graph, error) {
 // runMethod computes one spectral bound (theorem4 or theorem5) under ctx.
 // Solver failures after the escalation chain come back inside the
 // MethodResult, not as an error — only ctx expiry aborts the method.
-func runMethod(ctx context.Context, g *graph.Graph, spec jobSpec, method string, wrap func(linalg.Operator) linalg.Operator) MethodResult {
-	solver, _, err := parseSolver(spec.Solver)
-	if err != nil {
-		return MethodResult{Method: method, Error: err.Error()}
-	}
-	opt := core.Options{M: spec.M, MaxK: spec.MaxK, Solver: solver, WrapOperator: wrap}
+func runMethod(ctx context.Context, g *graph.Graph, opt core.Options, method string) MethodResult {
 	if method == "theorem5" {
 		opt.Laplacian = laplacian.Original
 	}
@@ -96,16 +91,24 @@ func (srv *Server) runJob(baseCtx context.Context, j *job) {
 	jctx = obs.WithScope(jctx, scope)
 
 	start := obs.Now()
+	solver, err := core.ParseSolver(j.Spec.Solver)
+	if err != nil {
+		// Admission validates the solver, so this is a job journaled by an
+		// older daemon that still served a since-retired solver: it fails
+		// typed on replay instead of wedging the queue.
+		srv.finishJob(baseCtx, j, KindInput, "graphiod: "+err.Error(), obs.Since(start))
+		return
+	}
 	g, err := srv.resolveGraph(j.Spec)
 	if err != nil {
 		srv.finishJob(baseCtx, j, KindInput, err.Error(), obs.Since(start))
 		return
 	}
 
-	var wrap func(linalg.Operator) linalg.Operator
+	opt := core.Options{M: j.Spec.M, MaxK: j.Spec.MaxK, Solver: solver}
 	if srv.cfg.WrapOperator != nil {
 		id := j.ID
-		wrap = func(op linalg.Operator) linalg.Operator { return srv.cfg.WrapOperator(id, op) }
+		opt.WrapOperator = func(op linalg.Operator) linalg.Operator { return srv.cfg.WrapOperator(id, op) }
 	}
 
 	art := Artifact{
@@ -119,7 +122,7 @@ func (srv *Server) runJob(baseCtx context.Context, j *job) {
 	// discard that method's finished work, so expiry alone is not enough.
 	truncated := false
 	for _, method := range []string{"theorem4", "theorem5"} {
-		mr := runMethod(jctx, g, j.Spec, method, wrap)
+		mr := runMethod(jctx, g, opt, method)
 		if jctx.Err() != nil && mr.Error != "" {
 			// The clock ran out mid-method; its result certifies nothing
 			// and partial artifacts are never committed.

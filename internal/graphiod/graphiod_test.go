@@ -280,9 +280,9 @@ func TestHardStopReplaysUnfinishedJobs(t *testing.T) {
 	dir := t.TempDir()
 	srv1, url := newTestServer(t, Config{
 		DataDir: dir, Workers: 1,
-		WrapOperator: stallWrap(30 * time.Millisecond),
+		WrapOperator: stallWrap(5 * time.Millisecond),
 	})
-	running := submit(t, url, JobRequest{Spec: "chain:48", M: 8, MaxK: 4, Solver: "lanczos"}, http.StatusAccepted)
+	running := submit(t, url, JobRequest{Spec: "chain:48", M: 8, MaxK: 4, Solver: "chebyshev"}, http.StatusAccepted)
 	queued := submit(t, url, JobRequest{Spec: "chain:24", M: 8, MaxK: 4, Solver: "dense"}, http.StatusAccepted)
 	waitState(t, srv1, running.ID, StateRunning)
 	srv1.Close() // hard stop: the running job must NOT reach a terminal WAL state
@@ -403,7 +403,7 @@ func TestStalledSolverHitsDeadlineSiblingCompletes(t *testing.T) {
 			return op
 		},
 	})
-	stalled := submit(t, url, JobRequest{Spec: "chain:48", M: 8, MaxK: 4, Solver: "lanczos", TimeoutMS: 250}, http.StatusAccepted)
+	stalled := submit(t, url, JobRequest{Spec: "chain:48", M: 8, MaxK: 4, Solver: "chebyshev", TimeoutMS: 250}, http.StatusAccepted)
 	healthy := submit(t, url, JobRequest{Spec: "chain:24", M: 8, MaxK: 4, Solver: "dense"}, http.StatusAccepted)
 
 	if info := waitState(t, srv, healthy.ID, StateDone, StateFailed); info.Status != StateDone {
@@ -420,12 +420,12 @@ func TestStalledSolverHitsDeadlineSiblingCompletes(t *testing.T) {
 func TestAdmissionControl(t *testing.T) {
 	srv, url := newTestServer(t, Config{
 		Workers: 1, QueueCap: 1, ClientInFlight: 1,
-		WrapOperator: stallWrap(30 * time.Millisecond),
+		WrapOperator: stallWrap(5 * time.Millisecond),
 	})
-	running := submit(t, url, JobRequest{Spec: "chain:48", M: 8, MaxK: 4, Solver: "lanczos", Client: "alice"}, http.StatusAccepted)
+	running := submit(t, url, JobRequest{Spec: "chain:48", M: 8, MaxK: 4, Solver: "chebyshev", Client: "alice"}, http.StatusAccepted)
 	waitState(t, srv, running.ID, StateRunning) // queue empty again
 
-	submit(t, url, JobRequest{Spec: "chain:40", M: 8, MaxK: 4, Solver: "lanczos", Client: "bob"}, http.StatusAccepted)
+	submit(t, url, JobRequest{Spec: "chain:40", M: 8, MaxK: 4, Solver: "chebyshev", Client: "bob"}, http.StatusAccepted)
 
 	status, fields := submitRaw(t, url, "", JobRequest{Spec: "chain:36", M: 8, MaxK: 4, Client: "alice"})
 	if f := faultOf(t, fields); status != http.StatusTooManyRequests || f.Kind != "client_limit" {
@@ -450,15 +450,15 @@ func TestMemoryPressureShedsLowestPriority(t *testing.T) {
 			}
 			return 0
 		},
-		WrapOperator: stallWrap(30 * time.Millisecond),
+		WrapOperator: stallWrap(5 * time.Millisecond),
 	})
-	running := submit(t, url, JobRequest{Spec: "chain:48", M: 8, MaxK: 4, Solver: "lanczos", Priority: 9}, http.StatusAccepted)
+	running := submit(t, url, JobRequest{Spec: "chain:48", M: 8, MaxK: 4, Solver: "chebyshev", Priority: 9}, http.StatusAccepted)
 	waitState(t, srv, running.ID, StateRunning)
-	mid := submit(t, url, JobRequest{Spec: "chain:40", M: 8, MaxK: 4, Solver: "lanczos", Priority: 5}, http.StatusAccepted)
-	low := submit(t, url, JobRequest{Spec: "chain:36", M: 8, MaxK: 4, Solver: "lanczos", Priority: 1}, http.StatusAccepted)
+	mid := submit(t, url, JobRequest{Spec: "chain:40", M: 8, MaxK: 4, Solver: "chebyshev", Priority: 5}, http.StatusAccepted)
+	low := submit(t, url, JobRequest{Spec: "chain:36", M: 8, MaxK: 4, Solver: "chebyshev", Priority: 1}, http.StatusAccepted)
 
 	highChecks.Store(1) // exactly one over-limit reading: shed exactly one job
-	trigger := submit(t, url, JobRequest{Spec: "chain:44", M: 8, MaxK: 4, Solver: "lanczos", Priority: 7}, http.StatusAccepted)
+	trigger := submit(t, url, JobRequest{Spec: "chain:44", M: 8, MaxK: 4, Solver: "chebyshev", Priority: 7}, http.StatusAccepted)
 
 	if info, _ := srv.store.get(low.ID); info.Status != StateShed || info.Error == nil || info.Error.Kind != "shed" {
 		t.Fatalf("lowest-priority job = %+v, want typed shed", info)
@@ -536,6 +536,8 @@ func TestSubmitValidation(t *testing.T) {
 		{JobRequest{Spec: "chain:16"}, "must be ≥ 1"},
 		{JobRequest{Spec: "chain:16", M: 4, MaxK: 1 << 20}, "max_k must be in"},
 		{JobRequest{Spec: "chain:16", M: 4, Solver: "quantum"}, "unknown solver"},
+		{JobRequest{Spec: "chain:16", M: 4, Solver: "lanczos"}, "unknown solver"},
+		{JobRequest{Spec: "chain:16", M: 4, Solver: "power"}, "unknown solver"},
 		{JobRequest{Spec: "warp:4", M: 4}, "unknown generator"},
 	}
 	for _, c := range cases {
@@ -551,9 +553,9 @@ func TestSubmitValidation(t *testing.T) {
 // the in-flight job finish; queued jobs stay journaled for the next start.
 func TestDrainRefusesNewWork(t *testing.T) {
 	srv, url := newTestServer(t, Config{
-		Workers: 1, WrapOperator: stallWrap(20 * time.Millisecond),
+		Workers: 1, WrapOperator: stallWrap(5 * time.Millisecond),
 	})
-	running := submit(t, url, JobRequest{Spec: "chain:48", M: 8, MaxK: 4, Solver: "lanczos"}, http.StatusAccepted)
+	running := submit(t, url, JobRequest{Spec: "chain:48", M: 8, MaxK: 4, Solver: "chebyshev"}, http.StatusAccepted)
 	waitState(t, srv, running.ID, StateRunning)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -790,12 +792,12 @@ func TestAdmissionAtomicUnderConcurrency(t *testing.T) {
 func TestHostCapStopsClientNameBypass(t *testing.T) {
 	srv, url := newTestServer(t, Config{
 		Workers: 1, ClientInFlight: 1, HostInFlight: 3,
-		WrapOperator: stallWrap(30 * time.Millisecond),
+		WrapOperator: stallWrap(5 * time.Millisecond),
 	})
-	running := submit(t, url, JobRequest{Spec: "chain:48", M: 8, MaxK: 4, Solver: "lanczos", Client: "alias-0"}, http.StatusAccepted)
+	running := submit(t, url, JobRequest{Spec: "chain:48", M: 8, MaxK: 4, Solver: "chebyshev", Client: "alias-0"}, http.StatusAccepted)
 	waitState(t, srv, running.ID, StateRunning)
 	for i := 1; i < 3; i++ {
-		submit(t, url, JobRequest{Spec: fmt.Sprintf("chain:%d", 20+i), M: 8, MaxK: 4, Solver: "lanczos", Client: fmt.Sprintf("alias-%d", i)}, http.StatusAccepted)
+		submit(t, url, JobRequest{Spec: fmt.Sprintf("chain:%d", 20+i), M: 8, MaxK: 4, Solver: "chebyshev", Client: fmt.Sprintf("alias-%d", i)}, http.StatusAccepted)
 	}
 	status, fields := submitRaw(t, url, "", JobRequest{Spec: "chain:28", M: 8, MaxK: 4, Client: "alias-3"})
 	if f := faultOf(t, fields); status != http.StatusTooManyRequests || f.Kind != "host_limit" {

@@ -3,9 +3,11 @@ package graphiod
 import (
 	"fmt"
 	"math/rand"
+	"net/http"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 )
@@ -172,5 +174,28 @@ func TestReplayParentWAL(t *testing.T) {
 	}
 	if j.ID != "j000006" {
 		t.Errorf("next ID = %s, want j000006", j.ID)
+	}
+}
+
+// testdata/retired_solver_wal is a data dir written by a daemon that still
+// served the since-retired Lanczos solver: one job accepted with
+// "solver":"lanczos" and never run. The daemon must replay it without
+// error, fail it as a typed input fault that names the solver, and go on
+// serving new work.
+func TestReplayRetiredSolverJobFailsTyped(t *testing.T) {
+	dir := t.TempDir()
+	copyTree(t, filepath.Join("testdata", "retired_solver_wal"), dir)
+	srv, url := newTestServer(t, Config{DataDir: dir, Workers: 1})
+	if srv.store.replayed != 1 {
+		t.Fatalf("replayed %d queued jobs, want 1", srv.store.replayed)
+	}
+	info := waitState(t, srv, "j000000", StateDone, StateFailed)
+	if info.Status != StateFailed || info.Error == nil || info.Error.Kind != KindInput ||
+		!strings.Contains(info.Error.Message, `unknown solver "lanczos"`) {
+		t.Fatalf("retired-solver job ended %+v, want a typed %q failure naming the solver", info, KindInput)
+	}
+	next := submit(t, url, JobRequest{Spec: "chain:8", M: 2, MaxK: 4, Solver: "chebyshev"}, http.StatusAccepted)
+	if done := waitState(t, srv, next.ID, StateDone, StateFailed); done.Status != StateDone {
+		t.Fatalf("job submitted after the replay ended %+v, want done", done)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"math/rand"
 	"runtime"
@@ -12,11 +11,6 @@ import (
 
 	"graphio/internal/obs"
 )
-
-// ChebDebug, when non-nil, receives one diagnostic line per filtered
-// subspace sweep (iteration, block size, degree, cut, worst residual).
-// Intended for development and performance investigation only.
-var ChebDebug io.Writer
 
 // ChebOptions tunes ChebFilteredSmallest.
 type ChebOptions struct {
@@ -241,10 +235,6 @@ func ChebFilteredSmallestContext(ctx context.Context, A Operator, c float64, h i
 				obs.F("cut", aCut),
 				obs.F("worst_resid", worst),
 				obs.F("theta_h", theta[h-1]))
-		}
-		if ChebDebug != nil {
-			fmt.Fprintf(ChebDebug, "cheb iter=%d b=%d deg=%d(cap %d) aCut=%.6g worst=%.3g theta[h-1]=%.6g\n",
-				iter, b, degEff, dcap, aCut, worst, theta[h-1])
 		}
 		if worst <= tol {
 			return clampSpectrum(theta[:h:h], scale), nil

@@ -13,8 +13,7 @@ import (
 // are negligible next to the O(nnz) mat-vec they measure. The
 // spectral-bound core wraps solver inputs with it only when observability
 // is enabled, so the count covers pilot runs, filter applications and
-// residual checks alike and the latency distribution separates the
-// Lanczos single-vector products from the Chebyshev block products.
+// residual checks alike.
 type CountingOperator struct {
 	A Operator
 	// Scope attributes the latency histogram to a telemetry scope; the

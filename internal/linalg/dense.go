@@ -345,8 +345,8 @@ func tql2(d, e []float64, z [][]float64) (int, error) {
 // TridiagEig computes the eigendecomposition of the symmetric tridiagonal
 // matrix with diagonal diag and subdiagonal sub (len(sub) == len(diag)-1).
 // Eigenvalues are returned in ascending order; if wantV is true, column i of
-// vecs is the unit eigenvector for vals[i]. This is the small inner solve
-// used by the Lanczos iteration.
+// vecs is the unit eigenvector for vals[i]. Chebyshev's pilot Lanczos run
+// uses it for its small inner solve.
 func TridiagEig(diag, sub []float64, wantV bool) (vals []float64, vecs *Dense, err error) {
 	n := len(diag)
 	if n == 0 {

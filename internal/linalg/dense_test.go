@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -27,7 +28,7 @@ func pathEigenvalues(n int) []float64 {
 	for j := 0; j < n; j++ {
 		vals[j] = 2 - 2*math.Cos(math.Pi*float64(j)/float64(n))
 	}
-	insertionSort(vals)
+	sort.Float64s(vals)
 	return vals
 }
 
@@ -50,7 +51,7 @@ func cycleEigenvalues(n int) []float64 {
 	for j := 0; j < n; j++ {
 		vals[j] = 2 - 2*math.Cos(2*math.Pi*float64(j)/float64(n))
 	}
-	insertionSort(vals)
+	sort.Float64s(vals)
 	return vals
 }
 

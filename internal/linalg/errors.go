@@ -7,18 +7,14 @@ import (
 )
 
 // NotConvergedError reports an eigensolve that ran out of its iteration
-// budget. Converged carries whatever ascending prefix of the requested
-// spectrum did lock before the budget expired — diagnostics for callers
-// that degrade gracefully (core escalates to another solver; the prefix
-// itself is NOT guaranteed to be the true smallest eigenvalues, so it must
-// not be fed back into a lower bound).
+// budget with no usable result — diagnostics for callers that degrade
+// gracefully (core retries with another seed, then falls back to the dense
+// solver).
 type NotConvergedError struct {
-	// Solver names the method that gave up ("lanczos", "chebyshev", "power").
+	// Solver names the method that gave up ("Chebyshev").
 	Solver string
-	// Requested and Converged count the wanted and locked eigenpairs.
+	// Requested and Converged count the wanted and converged eigenpairs.
 	Requested, Converged int
-	// Partial holds the locked eigenvalues, ascending (may be empty).
-	Partial []float64
 	// Reason is a one-line diagnosis of why the solve stalled.
 	Reason string
 }
@@ -33,7 +29,7 @@ func (e *NotConvergedError) Error() string {
 // input. It turns silent numerical corruption into a typed, matchable
 // failure instead of letting garbage propagate into a "bound".
 type NonFiniteError struct {
-	// Where locates the check that fired (e.g. "lanczos step", "input diag").
+	// Where locates the check that fired (e.g. "Chebyshev Gram matrix").
 	Where string
 }
 

@@ -1,6 +1,6 @@
 package linalg_test
 
-// Error-path coverage for the iterative eigensolvers, driven through
+// Error-path coverage for the eigensolvers, driven through
 // internal/faultinject: forced non-convergence, NaN poisoning, and
 // cancellation/deadline handling. The happy paths live in the in-package
 // solver tests; these tests are external (package linalg_test) because
@@ -17,7 +17,7 @@ import (
 )
 
 // pathLaplacian builds the n-vertex path-graph Laplacian, a PSD matrix with
-// a well-understood spectrum that every solver handles easily when healthy.
+// a well-understood spectrum that the solvers handle easily when healthy.
 func pathLaplacian(t *testing.T, n int) *linalg.CSR {
 	t.Helper()
 	var tr []linalg.Triplet
@@ -36,34 +36,22 @@ func pathLaplacian(t *testing.T, n int) *linalg.CSR {
 }
 
 func TestSolversReportNonConvergenceUnderNoise(t *testing.T) {
-	// Lanczos needs a matrix big enough that its adaptively-doubled Krylov
-	// space cannot reach the full dimension within the restart budget: at
-	// full dimension the basis spans R^n, the recurrence breaks down, and
-	// breakdown marks every Ritz pair converged — garbage would lock.
-	big := pathLaplacian(t, 400)
-	small := pathLaplacian(t, 40)
 	cases := []struct {
 		name   string
 		solver string
 		m      *linalg.CSR
 		run    func(op linalg.Operator, c float64) ([]float64, error)
 	}{
-		{"lanczos", "Lanczos", big, func(op linalg.Operator, c float64) ([]float64, error) {
-			return linalg.SmallestEigsPSD(op, c, 4, &linalg.LanczosOptions{MaxRestarts: 3, Steps: 12})
-		}},
-		{"chebyshev", "Chebyshev", small, func(op linalg.Operator, c float64) ([]float64, error) {
+		{"chebyshev", "Chebyshev", pathLaplacian(t, 40), func(op linalg.Operator, c float64) ([]float64, error) {
 			return linalg.ChebFilteredSmallest(op, c, 4, &linalg.ChebOptions{MaxIter: 3, Degree: 6})
-		}},
-		{"power", "power", small, func(op linalg.Operator, c float64) ([]float64, error) {
-			return linalg.PowerSmallestPSD(op, c, 4, &linalg.PowerOptions{MaxIter: 25})
 		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			// Additive noise far above every residual tolerance: the solver
 			// keeps producing finite garbage and must report non-convergence,
-			// with partial diagnostics attached, instead of hanging or
-			// returning a fabricated spectrum.
+			// with diagnostics attached, instead of hanging or returning a
+			// fabricated spectrum.
 			inj := &faultinject.Op{A: tc.m, NoiseFrom: 1, NoiseAmp: 5}
 			vals, err := tc.run(inj, tc.m.GershgorinUpper())
 			if err == nil {
@@ -78,9 +66,6 @@ func TestSolversReportNonConvergenceUnderNoise(t *testing.T) {
 			}
 			if nc.Requested != 4 {
 				t.Errorf("Requested = %d, want 4", nc.Requested)
-			}
-			if nc.Converged != len(nc.Partial) {
-				t.Errorf("Converged = %d but len(Partial) = %d", nc.Converged, len(nc.Partial))
 			}
 			if inj.Faults() == 0 {
 				t.Error("injector reports zero faulted matvecs")
@@ -99,14 +84,8 @@ func TestSolversDetectNaNPoisoning(t *testing.T) {
 		name string
 		run  func(op linalg.Operator) ([]float64, error)
 	}{
-		{"lanczos", func(op linalg.Operator) ([]float64, error) {
-			return linalg.SmallestEigsPSD(op, c, 4, nil)
-		}},
 		{"chebyshev", func(op linalg.Operator) ([]float64, error) {
 			return linalg.ChebFilteredSmallest(op, c, 4, nil)
-		}},
-		{"power", func(op linalg.Operator) ([]float64, error) {
-			return linalg.PowerSmallestPSD(op, c, 4, nil)
 		}},
 	}
 	for _, tc := range cases {
@@ -136,14 +115,8 @@ func TestSolversHonorCancelledContext(t *testing.T) {
 		name string
 		run  func() ([]float64, error)
 	}{
-		{"lanczos", func() ([]float64, error) {
-			return linalg.SmallestEigsPSDContext(ctx, m, c, 4, nil)
-		}},
 		{"chebyshev", func() ([]float64, error) {
 			return linalg.ChebFilteredSmallestContext(ctx, m, c, 4, nil)
-		}},
-		{"power", func() ([]float64, error) {
-			return linalg.PowerSmallestPSDContext(ctx, m, c, 4, nil)
 		}},
 		{"dense", func() ([]float64, error) {
 			return linalg.SymEigValuesContext(ctx, m.ToDense())
@@ -169,14 +142,8 @@ func TestSolversHitDeadlineDuringStalledMatvecs(t *testing.T) {
 		name string
 		run  func(ctx context.Context, op linalg.Operator) ([]float64, error)
 	}{
-		{"lanczos", func(ctx context.Context, op linalg.Operator) ([]float64, error) {
-			return linalg.SmallestEigsPSDContext(ctx, op, c, 6, nil)
-		}},
 		{"chebyshev", func(ctx context.Context, op linalg.Operator) ([]float64, error) {
 			return linalg.ChebFilteredSmallestContext(ctx, op, c, 6, nil)
-		}},
-		{"power", func(ctx context.Context, op linalg.Operator) ([]float64, error) {
-			return linalg.PowerSmallestPSDContext(ctx, op, c, 6, nil)
 		}},
 	}
 	for _, tc := range cases {
@@ -208,11 +175,19 @@ func TestTransientFaultWindowClears(t *testing.T) {
 	// depends on.
 	m := pathLaplacian(t, 30)
 	c := m.GershgorinUpper()
-	inj := &faultinject.Op{A: m, NaNFrom: 1, Until: 3}
-	if _, err := linalg.SmallestEigsPSD(inj, c, 3, &linalg.LanczosOptions{MaxRestarts: 1, Steps: 8}); err == nil {
+	short := &linalg.ChebOptions{MaxIter: 1, Degree: 4}
+	// Size the window to one short solve: count its matvecs under a fault
+	// that never closes (the count is deterministic), then replay it on a
+	// fresh injector whose window ends exactly there.
+	probe := &faultinject.Op{A: m, NaNFrom: 1}
+	if _, err := linalg.ChebFilteredSmallest(probe, c, 3, short); err == nil {
+		t.Fatal("solve on a NaN-poisoned operator succeeded")
+	}
+	inj := &faultinject.Op{A: m, NaNFrom: 1, Until: probe.Calls()}
+	if _, err := linalg.ChebFilteredSmallest(inj, c, 3, short); err == nil {
 		t.Fatal("solve inside the fault window succeeded")
 	}
-	vals, err := linalg.SmallestEigsPSD(inj, c, 3, nil)
+	vals, err := linalg.ChebFilteredSmallest(inj, c, 3, nil)
 	if err != nil {
 		t.Fatalf("solve after the fault window cleared: %v", err)
 	}

@@ -1,7 +1,6 @@
 package linalg
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 )
@@ -96,183 +95,5 @@ func TestShiftedNeg(t *testing.T) {
 	}
 	if maxAbsDiff(dst, want) > 1e-14 {
 		t.Errorf("ShiftedNeg: got %v want %v", dst, want)
-	}
-}
-
-func TestLanczosPathSmallest(t *testing.T) {
-	for _, n := range []int{5, 40, 150} {
-		m := pathCSR(n)
-		h := 6
-		if h > n {
-			h = n
-		}
-		got, err := SmallestEigsPSD(m, m.GershgorinUpper(), h, nil)
-		if err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
-		want := pathEigenvalues(n)[:h]
-		if d := maxAbsDiff(got, want); d > 1e-7 {
-			t.Errorf("n=%d: Lanczos error %g: got %v want %v", n, d, got, want)
-		}
-	}
-}
-
-func TestLanczosRecoversMultiplicity(t *testing.T) {
-	// K_8: eigenvalues 0, then 8 with multiplicity 7. Plain Lanczos finds
-	// one copy; deflation must recover all requested copies.
-	n := 8
-	var tr []Triplet
-	for i := 0; i < n; i++ {
-		tr = append(tr, Triplet{i, i, float64(n - 1)})
-		for j := 0; j < n; j++ {
-			if i != j {
-				tr = append(tr, Triplet{i, j, -1})
-			}
-		}
-	}
-	m, err := NewCSRFromTriplets(n, tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := SmallestEigsPSD(m, m.GershgorinUpper(), 5, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []float64{0, 8, 8, 8, 8}
-	if d := maxAbsDiff(got, want); d > 1e-7 {
-		t.Errorf("complete-graph eigenvalues: got %v, want %v", got, want)
-	}
-}
-
-func TestLanczosDisconnectedZeros(t *testing.T) {
-	// Two disjoint paths: the Laplacian has a two-dimensional kernel.
-	n := 10
-	var tr []Triplet
-	addEdge := func(u, v int) {
-		tr = append(tr, Triplet{u, u, 1}, Triplet{v, v, 1}, Triplet{u, v, -1}, Triplet{v, u, -1})
-	}
-	for i := 0; i < 4; i++ {
-		addEdge(i, i+1)
-	}
-	for i := 5; i < 9; i++ {
-		addEdge(i, i+1)
-	}
-	m, err := NewCSRFromTriplets(n, tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := SmallestEigsPSD(m, m.GershgorinUpper(), 3, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(got[0]) > 1e-8 || math.Abs(got[1]) > 1e-8 {
-		t.Errorf("disconnected graph should have two zero eigenvalues, got %v", got)
-	}
-	if got[2] < 1e-3 {
-		t.Errorf("third eigenvalue should be positive, got %v", got)
-	}
-}
-
-func TestLanczosFullSpectrumSmallMatrix(t *testing.T) {
-	// h = n: Lanczos must return the entire spectrum.
-	n := 12
-	m := pathCSR(n)
-	got, err := SmallestEigsPSD(m, m.GershgorinUpper(), n, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := maxAbsDiff(got, pathEigenvalues(n)); d > 1e-7 {
-		t.Errorf("full spectrum error %g", d)
-	}
-}
-
-func TestLanczosHLargerThanN(t *testing.T) {
-	m := pathCSR(4)
-	got, err := SmallestEigsPSD(m, m.GershgorinUpper(), 10, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 4 {
-		t.Fatalf("len=%d want 4", len(got))
-	}
-}
-
-func TestLanczosMatchesDenseOnRandomLaplacians(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	for trial := 0; trial < 8; trial++ {
-		n := 10 + rng.Intn(60)
-		var tr []Triplet
-		for u := 0; u < n; u++ {
-			for v := u + 1; v < n; v++ {
-				if rng.Float64() < 0.15 {
-					w := 0.25 + rng.Float64()
-					tr = append(tr, Triplet{u, u, w}, Triplet{v, v, w},
-						Triplet{u, v, -w}, Triplet{v, u, -w})
-				}
-			}
-		}
-		m, err := NewCSRFromTriplets(n, tr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		h := 8
-		want, err := SymEigValues(m.ToDense())
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := SmallestEigsPSD(m, m.GershgorinUpper(), h, nil)
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		if d := maxAbsDiff(got, want[:h]); d > 1e-6 {
-			t.Errorf("trial %d (n=%d): Lanczos vs dense error %g\n got %v\nwant %v",
-				trial, n, d, got, want[:h])
-		}
-	}
-}
-
-func TestPowerMatchesDense(t *testing.T) {
-	n := 30
-	m := pathCSR(n)
-	h := 4
-	got, err := PowerSmallestPSD(m, m.GershgorinUpper(), h, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := pathEigenvalues(n)[:h]
-	if d := maxAbsDiff(got, want); d > 1e-4 {
-		t.Errorf("power iteration error %g: got %v want %v", d, got, want)
-	}
-}
-
-func TestPowerRecoversMultiplicity(t *testing.T) {
-	// Star K_{1,5}: Laplacian eigenvalues 0, 1 (multiplicity 4), 6.
-	n := 6
-	var tr []Triplet
-	for leaf := 1; leaf < n; leaf++ {
-		tr = append(tr, Triplet{0, 0, 1}, Triplet{leaf, leaf, 1},
-			Triplet{0, leaf, -1}, Triplet{leaf, 0, -1})
-	}
-	m, err := NewCSRFromTriplets(n, tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := PowerSmallestPSD(m, m.GershgorinUpper(), 5, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []float64{0, 1, 1, 1, 1}
-	if d := maxAbsDiff(got, want); d > 1e-4 {
-		t.Errorf("star eigenvalues: got %v want %v", got, want)
-	}
-}
-
-func TestSolverErrorsOnBadH(t *testing.T) {
-	m := pathCSR(3)
-	if _, err := SmallestEigsPSD(m, 4, 0, nil); err == nil {
-		t.Error("Lanczos accepted h=0")
-	}
-	if _, err := PowerSmallestPSD(m, 4, -1, nil); err == nil {
-		t.Error("power accepted h=-1")
 	}
 }

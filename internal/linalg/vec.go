@@ -2,11 +2,10 @@
 // from scratch on the standard library: dense symmetric eigendecomposition
 // (Householder tridiagonalization + implicit-shift QL, with a Sturm-sequence
 // bisection solver as an independent cross-check), compressed sparse row
-// matrices, and three iterative solvers for the smallest eigenvalues of
-// large sparse PSD matrices — Chebyshev-filtered subspace iteration (the
-// default: a block method that powers through the clustered,
-// high-multiplicity spectra of structured computation graphs), Lanczos with
-// full reorthogonalization and deflation, and a deflated power iteration.
+// matrices, and Chebyshev-filtered subspace iteration for the smallest
+// eigenvalues of large sparse PSD matrices (a block method that powers
+// through the clustered, high-multiplicity spectra of structured
+// computation graphs).
 package linalg
 
 import "math"

@@ -73,15 +73,3 @@ func TestOrthogonalizeAgainst(t *testing.T) {
 		}
 	}
 }
-
-func TestKthSmallest(t *testing.T) {
-	x := []float64{5, 1, 4, 1, 3}
-	for k, want := range map[int]float64{1: 1, 2: 1, 3: 3, 5: 5} {
-		if got := kthSmallest(x, k); got != want {
-			t.Errorf("kthSmallest(%d) = %g want %g", k, got, want)
-		}
-	}
-	if x[0] != 5 {
-		t.Error("kthSmallest mutated its input")
-	}
-}

@@ -12,7 +12,7 @@ import (
 // selecting on it, or by passing ctx to the loop body's callees. Otherwise
 // -timeout and SIGINT stop working the moment someone adds one more sweep
 // loop. Two classes of loop are exempt: inner loops (a mat-vec inside a
-// Lanczos restart legitimately amortizes the check into the loop above it)
+// Chebyshev sweep legitimately amortizes the check into the loop above it)
 // and loops that do no real work — no calls at all, or only formatting
 // calls (fmt/strings/strconv/errors) — whose cancellation latency is
 // bounded by straight-line arithmetic.

@@ -14,8 +14,8 @@ import (
 )
 
 // The probe layer records per-iteration solver events — one event per
-// Lanczos restart, Chebyshev sweep, bisection refinement, Dinic phase,
-// pebble step sample — for convergence analysis (obsreport convergence).
+// Chebyshev sweep, bisection refinement, Dinic phase, pebble step
+// sample — for convergence analysis (obsreport convergence).
 // Like the trace collector it is off by default and gated on one atomic
 // load, so instrumented inner loops cost nothing in production runs; call
 // sites that compute fields should additionally guard on EventsEnabled so
@@ -55,7 +55,7 @@ type ProbeRef struct {
 }
 
 // Probe returns a handle for emitting events under name. Names follow the
-// metric convention ("pkg.event", lint-enforced): linalg.lanczos,
+// metric convention ("pkg.event", lint-enforced): linalg.cheb,
 // maxflow.dinic, pebble.simulate.
 func Probe(name string) ProbeRef { return ProbeRef{name: name} }
 
