@@ -52,10 +52,12 @@ bench-json:
 
 # CI regression gate: run the benchmarks fresh and diff the timings against
 # the committed BENCH_PR1.json baseline. Exits non-zero if any ns_per_op
-# regressed by more than 20% (see cmd/obsreport -fail-over).
+# regressed by more than 20% (see cmd/obsreport -fail-over). The current
+# run goes to a private temp file that the recipe removes on exit.
 bench-check:
-	go test -bench=. -benchmem -benchtime=3x . | go run ./cmd/benchjson -o /tmp/bench-current.json
-	go run ./cmd/obsreport -fail-over 20 BENCH_PR1.json /tmp/bench-current.json
+	cur="$$(mktemp)"; trap 'rm -f "$$cur"' EXIT; \
+	go test -bench=. -benchmem -benchtime=3x . | go run ./cmd/benchjson -o "$$cur" && \
+	go run ./cmd/obsreport -fail-over 20 BENCH_PR1.json "$$cur"
 
 # Dense-path kernel microbenchmarks (tred2, tql2, SymEigValues at n = 256,
 # 512, 1024), one iteration each so they always compile and run; each
@@ -67,9 +69,11 @@ bench-kernels:
 # platform, ns/op per benchmark) to results/bench_history.jsonl, then
 # compare the latest run against the median of the prior runs. Exits
 # non-zero when any benchmark regressed more than 20% against that median;
-# harmless on the first run (nothing to compare against yet).
+# harmless on the first run (nothing to compare against yet). As in
+# bench-check, the current run's JSON is a temp file removed on exit.
 bench-history:
-	go test -bench=. -benchmem -benchtime=3x . | go run ./cmd/benchjson -o /tmp/bench-current.json -history results/bench_history.jsonl
+	cur="$$(mktemp)"; trap 'rm -f "$$cur"' EXIT; \
+	go test -bench=. -benchmem -benchtime=3x . | go run ./cmd/benchjson -o "$$cur" -history results/bench_history.jsonl && \
 	go run ./cmd/obsreport trend -fail-over 20 results/bench_history.jsonl
 
 experiments:

@@ -541,7 +541,7 @@ func boundFromEigenvalues(sc *obs.Scope, lambda []float64, n, M, p int, divisor 
 		}
 		perK[i] = v
 		if timed {
-			sc.ObserveHistDuration("core.boundk_ns", obs.Since(t0))
+			sc.ObserveHist("core.boundk_ns", obs.Since(t0).Nanoseconds())
 		}
 	}
 	raw := rawMax(perK)

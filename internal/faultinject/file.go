@@ -4,8 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-
-	"graphio/internal/obs"
 )
 
 // ErrInjected is the default error every injected filesystem fault
@@ -104,5 +102,5 @@ func (f *File) Faults() int { return f.faults }
 
 func (f *File) fault() {
 	f.faults++
-	obs.Inc("faultinject.fs_faults")
+	process.Inc("faultinject.fs_faults")
 }

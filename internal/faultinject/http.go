@@ -6,8 +6,6 @@ import (
 	"net/http"
 	"sync/atomic"
 	"time"
-
-	"graphio/internal/obs"
 )
 
 // Transport wraps an http.RoundTripper and injects network faults into
@@ -108,7 +106,7 @@ func (t *Transport) Faults() int64 { return t.faults.Load() }
 
 func (t *Transport) fault() {
 	t.faults.Add(1)
-	obs.Inc("faultinject.http_faults")
+	process.Inc("faultinject.http_faults")
 }
 
 // truncatedBody delivers at most remain bytes of the wrapped body, then

@@ -115,7 +115,9 @@ func ChebFilteredSmallestContext(ctx context.Context, A Operator, c float64, h i
 			X[i][j] = rng.NormFloat64()
 		}
 	}
-	orthonormalizeBlock(X, rng)
+	if err := orthonormalizeBlock(X, rng); err != nil {
+		return nil, err
+	}
 
 	// Pilot cut point from a short Lanczos run: roughly where the h-th
 	// smallest eigenvalue sits. Adapted every iteration afterwards.
@@ -176,7 +178,9 @@ func ChebFilteredSmallestContext(ctx context.Context, A Operator, c float64, h i
 		if err := ctxErr(ctx, "Chebyshev"); err != nil {
 			return nil, err // the filter bailed out mid-block
 		}
-		orthonormalizeBlock(X, rng)
+		if err := orthonormalizeBlock(X, rng); err != nil {
+			return nil, err // a poisoned mat-vec in the filter
+		}
 		b = len(X)
 
 		// Rayleigh-Ritz on the filtered subspace. The block mat-vecs and
@@ -283,7 +287,9 @@ func ChebFilteredSmallestContext(ctx context.Context, A Operator, c float64, h i
 					}
 					X = append(X, col)
 				}
-				orthonormalizeBlock(X, rng)
+				if err := orthonormalizeBlock(X, rng); err != nil {
+					return nil, err
+				}
 				b = len(X)
 				prevWorst = math.Inf(1)
 				continue
@@ -483,8 +489,10 @@ func parallelFor(n int, body func(lo, hi int)) {
 
 // orthonormalizeBlock runs two passes of modified Gram-Schmidt over the
 // block's columns, replacing any numerically collapsed column with a fresh
-// random direction orthogonal to the rest.
-func orthonormalizeBlock(X [][]float64, rng *rand.Rand) {
+// random direction orthogonal to the rest. A column whose norm is NaN or
+// ±Inf is not collapsed but poisoned: it fails with a *NonFiniteError
+// rather than being replaced.
+func orthonormalizeBlock(X [][]float64, rng *rand.Rand) error {
 	for i := range X {
 		for attempt := 0; ; attempt++ {
 			for pass := 0; pass < 2; pass++ {
@@ -492,7 +500,11 @@ func orthonormalizeBlock(X [][]float64, rng *rand.Rand) {
 					Axpy(-Dot(X[i], X[j]), X[j], X[i])
 				}
 			}
-			if Normalize(X[i]) > 1e-10 {
+			nrm := Normalize(X[i])
+			if !isFinite(nrm) {
+				return &NonFiniteError{Where: "Chebyshev orthonormalization"}
+			}
+			if nrm > 1e-10 {
 				break
 			}
 			if attempt > 4 {
@@ -505,6 +517,7 @@ func orthonormalizeBlock(X [][]float64, rng *rand.Rand) {
 			}
 		}
 	}
+	return nil
 }
 
 // rotateBlock computes X ← X·S for an n-column block and a small square

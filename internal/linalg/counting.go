@@ -32,7 +32,7 @@ func (c *CountingOperator) MatVec(dst, src []float64) {
 	c.n.Add(1)
 	start := obs.Now()
 	c.A.MatVec(dst, src)
-	c.Scope.ObserveHistDuration("linalg.matvec_ns", obs.Since(start))
+	c.Scope.ObserveHist("linalg.matvec_ns", obs.Since(start).Nanoseconds())
 }
 
 // Count returns the number of MatVec applications so far.

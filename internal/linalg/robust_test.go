@@ -106,6 +106,28 @@ func TestSolversDetectNaNPoisoning(t *testing.T) {
 	}
 }
 
+// TestChebFilterPoisonSurfacesAtOrthonormalization closes the fault window
+// inside the first filter pass: the pilot's 30 mat-vecs and the filter's
+// first 10 return NaN, every later one is clean. The poisoned columns must
+// fail the solve typed at orthonormalization, not be swapped for random
+// vectors that the clean Rayleigh-Ritz mat-vecs then turn into a
+// plausible spectrum.
+func TestChebFilterPoisonSurfacesAtOrthonormalization(t *testing.T) {
+	m := pathLaplacian(t, 30)
+	inj := &faultinject.Op{A: m, NaNFrom: 1, Until: 40}
+	vals, err := linalg.ChebFilteredSmallest(inj, m.GershgorinUpper(), 3, nil)
+	if err == nil {
+		t.Fatalf("solve after %d poisoned mat-vecs succeeded with %v", inj.Faults(), vals)
+	}
+	var nf *linalg.NonFiniteError
+	if !errors.As(err, &nf) {
+		t.Fatalf("error = %v (%T), want *NonFiniteError", err, err)
+	}
+	if nf.Where != "Chebyshev orthonormalization" {
+		t.Errorf("NonFiniteError.Where = %q, want %q", nf.Where, "Chebyshev orthonormalization")
+	}
+}
+
 func TestSolversHonorCancelledContext(t *testing.T) {
 	m := pathLaplacian(t, 40)
 	c := m.GershgorinUpper()

@@ -151,7 +151,6 @@ func TestRuleFixtures(t *testing.T) {
 		{"errcheck", []Rule{NewErrCheck()}},
 		{"scopedobs", []Rule{&ScopedObs{
 			ObsPath:       "fix/obs",
-			Instrumented:  []string{"fix/scopedobs"},
 			DefaultExempt: []string{"fix/obs"},
 		}}},
 		{"ctxflow", []Rule{NewCtxFlow()}},

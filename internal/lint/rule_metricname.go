@@ -64,21 +64,21 @@ func (*MetricName) Doc() string {
 }
 
 // metricFuncs are the obs entry points that take a metric name, mapped to
-// the argument index the name sits at: 0 for the classic helpers and the
-// Registry/Scope methods, 1 for the context-scoped variants whose first
-// argument is the ctx. Span and log names (StartSpan, Logf) are free-form
-// and excluded. Probe names share the namespace — obsreport convergence
-// groups events by probe — so obs.Probe is included; ProbeRef.Iter and
-// IterCtx are not, their leading arguments being ctx/iteration numbers.
+// the argument index the name sits at: 0 for the Registry/Scope methods,
+// 1 for the context-scoped helpers whose first argument is the ctx. Span
+// and log names (StartSpanCtx, LogCtx) are free-form and excluded. Probe
+// names share the namespace — obsreport convergence groups events by
+// probe — so obs.Probe is included; IterCtx is not, its leading arguments
+// being the ctx and an iteration number.
 var metricFuncs = map[string]int{
 	"Add": 0, "Inc": 0, "Counter": 0,
 	"SetGauge": 0, "Gauge": 0,
-	"Observe": 0, "Time": 0,
-	"ObserveHist": 0, "ObserveHistDuration": 0, "TimeHist": 0, "Hist": 0,
+	"Observe":     0,
+	"ObserveHist": 0, "TimeHist": 0, "Hist": 0,
 	"Probe":  0,
 	"AddCtx": 1, "IncCtx": 1, "SetGaugeCtx": 1,
-	"ObserveCtx": 1, "TimeCtx": 1,
-	"ObserveHistCtx": 1, "ObserveHistDurationCtx": 1, "TimeHistCtx": 1,
+	"ObserveCtx":     1,
+	"ObserveHistCtx": 1, "TimeHistCtx": 1,
 }
 
 // Check implements Rule.

@@ -3,6 +3,6 @@ package metricname
 import "fix/obs"
 
 // _test.go files are exempt: tests may register throwaway metric names.
-func emit(name string) {
-	obs.Inc(name)
+func emit(sc *obs.Scope, name string) {
+	sc.Inc(name)
 }

@@ -1,5 +1,7 @@
 // Package obs is a miniature stand-in for graphio/internal/obs used by the
 // metric-name and scoped-obs fixtures: same entry-point names, no behavior.
+// Like the real package it has no package-level Inc/Observe: metrics go
+// through Scope (or Registry) methods and the ctx helpers.
 package obs
 
 import "context"
@@ -13,35 +15,28 @@ var def Registry
 
 func Default() *Registry { return &def }
 
-func Add(name string, v int64)       {}
-func Inc(name string)                {}
-func Observe(name string, v float64) {}
-
 func AddCtx(ctx context.Context, name string, v int64)       {}
 func IncCtx(ctx context.Context, name string)                {}
 func ObserveCtx(ctx context.Context, name string, v float64) {}
 
-// StartSpan's name is free-form: not a metric entry point.
-func StartSpan(name string) {}
-
+// StartSpanCtx's name is free-form: not a metric entry point.
 func StartSpanCtx(ctx context.Context, name string) {}
 
-func Logf(format string, args ...any)                        {}
 func LogCtx(ctx context.Context, format string, args ...any) {}
 
 // Scope mirrors the per-task telemetry scope; its emission methods are
-// scope-aware by construction.
+// scope-aware by construction, and a nil Scope feeds the default registry.
 type Scope struct{}
 
-func (*Scope) Inc(name string)                            {}
-func (*Scope) ObserveHistDuration(name string, dns int64) {}
+func (*Scope) Inc(name string)                    {}
+func (*Scope) Observe(name string, v float64)     {}
+func (*Scope) ObserveHist(name string, dns int64) {}
 
-// ProbeRef mirrors the solver event-probe handle. Iter's first argument is
-// an iteration number, not a metric name, so Iter is deliberately NOT a
-// metric entry point; IterCtx leads with a context.
+// ProbeRef mirrors the solver event-probe handle. IterCtx leads with a
+// context and an iteration number, so it is deliberately NOT a metric
+// entry point.
 type ProbeRef struct{}
 
 func Probe(name string) ProbeRef { return ProbeRef{} }
 
-func (ProbeRef) Iter(iter int64)                         {}
 func (ProbeRef) IterCtx(ctx context.Context, iter int64) {}

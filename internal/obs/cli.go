@@ -196,11 +196,10 @@ func (c *CLI) finish() error {
 		}
 	}
 	wall := time.Since(c.start)
-	if Enabled() {
-		Observe("wall", wall)
-		SetGauge("wall_seconds", wall.Seconds())
-	}
-	Logf("total wall time %v", wall.Round(time.Microsecond))
+	var process *Scope // nil: the run's totals go to the default registry
+	process.Observe("wall", wall)
+	process.SetGauge("wall_seconds", wall.Seconds())
+	logf("total wall time %v", wall.Round(time.Microsecond))
 	if c.MetricsOut != "" {
 		if err := DumpJSON(c.MetricsOut); err != nil && firstErr == nil {
 			firstErr = err

@@ -4,14 +4,14 @@ import (
 	"math"
 	"math/bits"
 	"sync/atomic"
-	"time"
 )
 
-// Histograms record value *distributions* where timers record only
-// count/total/min/max. They exist for the hot paths whose per-event cost
-// varies by orders of magnitude across one run — per-k bound evaluations,
-// eigensolver mat-vecs, min-cut flow rounds, pebble simulations — where a
-// mean hides the tail that actually determines wall time.
+// Histograms record value *distributions*; a timer is the same structure
+// exported as count/total/min/max only (TimerStat). They exist for the hot
+// paths whose per-event cost varies by orders of magnitude across one run
+// — per-k bound evaluations, eigensolver mat-vecs, min-cut flow rounds,
+// pebble simulations — where a mean hides the tail that actually
+// determines wall time.
 //
 // The layout is 65 power-of-two buckets over int64 values (nanoseconds for
 // durations, raw counts for rates): bucket 0 holds v ≤ 0 and bucket i
@@ -52,8 +52,9 @@ func bucketBounds(i int) (lo, hi float64) {
 	return math.Ldexp(1, i-1), math.Ldexp(1, i)
 }
 
+// observe folds v in. count is bumped last, so a reader that loads count
+// first sees min, max and sum already covering every counted observation.
 func (h *hist) observe(v int64) {
-	h.count.Add(1)
 	h.sum.Add(v)
 	h.buckets[histBucket(v)].Add(1)
 	for {
@@ -68,6 +69,7 @@ func (h *hist) observe(v int64) {
 			break
 		}
 	}
+	h.count.Add(1)
 }
 
 // HistStat is the exported state of one histogram. Quantiles are estimated
@@ -165,59 +167,14 @@ func histQuantile(buckets []int64, total, min, max int64, q float64) float64 {
 
 // ObserveHist folds value v into histogram name.
 func (r *Registry) ObserveHist(name string, v int64) {
-	r.hist(name).observe(v)
-}
-
-func (r *Registry) hist(name string) *hist {
-	r.mu.RLock()
-	h := r.hists[name]
-	r.mu.RUnlock()
-	if h != nil {
-		return h
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if h = r.hists[name]; h == nil {
-		h = newHist()
-		r.hists[name] = h
-	}
-	return h
+	lookup(r, &r.hists, name, newHist).observe(v)
 }
 
 // Hist returns the current statistics of histogram name (zero value if the
 // histogram was never observed).
 func (r *Registry) Hist(name string) HistStat {
-	r.mu.RLock()
-	h := r.hists[name]
-	r.mu.RUnlock()
-	if h == nil {
-		return HistStat{}
+	if h := find(r, &r.hists, name); h != nil {
+		return h.stat()
 	}
-	return h.stat()
-}
-
-// Package-level helpers, gated like the counter/gauge/timer ones.
-
-// ObserveHist folds v into a default-registry histogram when enabled.
-func ObserveHist(name string, v int64) {
-	if !enabled.Load() {
-		return
-	}
-	defaultR.ObserveHist(name, v)
-}
-
-// ObserveHistDuration folds a duration (as nanoseconds) into a
-// default-registry histogram when enabled.
-func ObserveHistDuration(name string, d time.Duration) {
-	ObserveHist(name, d.Nanoseconds())
-}
-
-// TimeHist starts a stopwatch whose stop function feeds histogram name.
-// When collection is disabled the returned function is a no-op.
-func TimeHist(name string) func() {
-	if !enabled.Load() {
-		return func() {}
-	}
-	start := time.Now()
-	return func() { defaultR.ObserveHist(name, time.Since(start).Nanoseconds()) }
+	return HistStat{}
 }

@@ -118,7 +118,7 @@ func TestHistConcurrent(t *testing.T) {
 
 func TestHistSnapshotOmitsNeverObserved(t *testing.T) {
 	r := NewRegistry()
-	r.hist("ghost") // touched but never observed
+	lookup(r, &r.hists, "ghost", newHist) // touched but never observed
 	r.ObserveHist("real", 7)
 	s := r.Snapshot()
 	if _, ok := s.Hists["ghost"]; ok {
@@ -132,9 +132,9 @@ func TestHistSnapshotOmitsNeverObserved(t *testing.T) {
 func TestHistPackageHelpersGated(t *testing.T) {
 	Reset()
 	Enable(false)
-	ObserveHist("never", 1)
-	ObserveHistDuration("never", time.Second)
-	TimeHist("never")()
+	unscoped.ObserveHist("never", 1)
+	unscoped.ObserveHist("never", time.Second.Nanoseconds())
+	unscoped.TimeHist("never")()
 	if s := Default().Snapshot(); len(s.Hists) != 0 {
 		t.Errorf("disabled helpers recorded hists: %+v", s.Hists)
 	}
@@ -143,9 +143,9 @@ func TestHistPackageHelpersGated(t *testing.T) {
 		Enable(false)
 		Reset()
 	}()
-	ObserveHist("on", 3)
-	ObserveHistDuration("on_ns", 2*time.Microsecond)
-	stop := TimeHist("timed_ns")
+	unscoped.ObserveHist("on", 3)
+	unscoped.ObserveHist("on_ns", (2 * time.Microsecond).Nanoseconds())
+	stop := unscoped.TimeHist("timed_ns")
 	stop()
 	s := Default().Snapshot()
 	if s.Hists["on"].Count != 1 || s.Hists["on"].Max != 3 {

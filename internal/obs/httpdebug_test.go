@@ -82,8 +82,8 @@ func TestDebugServerEndpoints(t *testing.T) {
 		Enable(false)
 		Reset()
 	}()
-	Inc("debug.test.counter")
-	ObserveHist("debug.test.lat_ns", 1500)
+	unscoped.Inc("debug.test.counter")
+	unscoped.ObserveHist("debug.test.lat_ns", 1500)
 
 	stop, addr, err := StartDebugServer("127.0.0.1:0")
 	if err != nil {
@@ -111,7 +111,7 @@ func TestDebugServerEndpoints(t *testing.T) {
 		}
 	}
 
-	sp := StartSpan("live.phase")
+	sp := startSpan("live.phase")
 	code, body = get("/progress")
 	sp.End()
 	if code != http.StatusOK {
@@ -168,7 +168,7 @@ func TestMetricsHandlerHTTPTest(t *testing.T) {
 		Enable(false)
 		Reset()
 	}()
-	Add("rt.counter", 7)
+	unscoped.Add("rt.counter", 7)
 	req := httptest.NewRequest(http.MethodGet, "/metrics", nil)
 	rec := httptest.NewRecorder()
 	handleMetrics(rec, req)
@@ -195,7 +195,7 @@ func TestMetricsHistogramBucketsHTTPTest(t *testing.T) {
 		Reset()
 	}()
 	for i := int64(1); i <= 1000; i++ {
-		ObserveHist("rt.lat_ns", i*i)
+		unscoped.ObserveHist("rt.lat_ns", i*i)
 	}
 	req := httptest.NewRequest(http.MethodGet, "/metrics", nil)
 	rec := httptest.NewRecorder()
@@ -274,7 +274,7 @@ func TestProgressUnderSpanChurn(t *testing.T) {
 					return
 				default:
 				}
-				sp := StartSpan("churn.phase")
+				sp := startSpan("churn.phase")
 				sp.Child("inner").End()
 				sp.End()
 			}

@@ -11,18 +11,23 @@
 // -v / -metrics-out / -trace-out / -debug-addr / -cpuprofile /
 // -memprofile flags (cli.go).
 //
-// Everything is off by default. Every package-level entry point starts with
-// a single atomic load, so instrumented hot paths cost nothing measurable
-// when no flag enabled the layer; the heavier call sites additionally batch
-// their counts locally and report once per solve.
+// Metrics have one emission path: the *Scope methods (scope.go), with the
+// ctx helpers (IncCtx, ObserveHistCtx, ...) as one-line sugar over
+// FromContext(ctx). A nil *Scope routes to the default registry, so code
+// with no task to attribute to, such as process-level fault counters,
+// holds a nil scope rather than reaching for a second API.
+//
+// Everything is off by default. Every emission call starts with a single
+// atomic load, so instrumented hot paths cost nothing measurable when no
+// flag enabled the layer; the heavier call sites additionally batch their
+// counts locally and report once per solve.
 package obs
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
+	"maps"
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -36,10 +41,11 @@ var (
 )
 
 // persist reports its commit/abort/journal events through a hook so it
-// can stay dependency-free; point the hook here so persist.* counters
-// land in the registry alongside everything else (no-ops while disabled).
+// can stay dependency-free; point the hook at the nil scope so persist.*
+// counters land in the default registry alongside everything else
+// (no-ops while disabled).
 func init() {
-	persist.Count = Inc
+	persist.Count = (*Scope)(nil).Inc
 }
 
 // Enable turns the default registry on or off. Disabled is the zero state.
@@ -48,39 +54,30 @@ func Enable(on bool) { enabled.Store(on) }
 // Enabled reports whether the default registry is collecting.
 func Enabled() bool { return enabled.Load() }
 
-// Default returns the process-wide registry the package-level helpers feed.
+// Default returns the process-wide registry every emission path feeds.
 func Default() *Registry { return defaultR }
 
 // Reset clears every metric in the default registry (tests, mainly).
 func Reset() { defaultR.Reset() }
 
 // Registry holds named counters, gauges, timers and histograms. All
-// methods are safe for concurrent use; counter, gauge and histogram
-// updates are lock-free after the first touch of a name.
+// methods are safe for concurrent use; after the first touch of a name an
+// update takes only the shared read lock plus a few atomic operations. A
+// timer is a histogram of nanosecond durations, kept in its own name space
+// and exported as a TimerStat.
 type Registry struct {
 	mu       sync.RWMutex
 	counters map[string]*int64
 	gauges   map[string]*uint64 // float64 bits
-	timers   map[string]*timer
+	timers   map[string]*hist
 	hists    map[string]*hist
-}
-
-type timer struct {
-	mu    sync.Mutex
-	count int64
-	total time.Duration
-	min   time.Duration
-	max   time.Duration
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{
-		counters: make(map[string]*int64),
-		gauges:   make(map[string]*uint64),
-		timers:   make(map[string]*timer),
-		hists:    make(map[string]*hist),
-	}
+	r := &Registry{}
+	r.Reset()
+	return r
 }
 
 // Reset drops every metric.
@@ -89,73 +86,52 @@ func (r *Registry) Reset() {
 	defer r.mu.Unlock()
 	r.counters = make(map[string]*int64)
 	r.gauges = make(map[string]*uint64)
-	r.timers = make(map[string]*timer)
+	r.timers = make(map[string]*hist)
 	r.hists = make(map[string]*hist)
 }
 
-func (r *Registry) counter(name string) *int64 {
+// find returns the metric named name in *m, or nil if it was never
+// touched. m points at one of r's map fields, which Reset replaces, so
+// the field itself is read under the lock.
+func find[T any](r *Registry, m *map[string]*T, name string) *T {
 	r.mu.RLock()
-	c := r.counters[name]
-	r.mu.RUnlock()
-	if c != nil {
-		return c
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if c = r.counters[name]; c == nil {
-		c = new(int64)
-		r.counters[name] = c
-	}
-	return c
+	defer r.mu.RUnlock()
+	return (*m)[name]
 }
 
-func (r *Registry) gauge(name string) *uint64 {
-	r.mu.RLock()
-	g := r.gauges[name]
-	r.mu.RUnlock()
-	if g != nil {
-		return g
+// lookup is find that creates the metric with mk on first touch; only
+// creation takes the exclusive lock.
+func lookup[T any](r *Registry, m *map[string]*T, name string, mk func() *T) *T {
+	if v := find(r, m, name); v != nil {
+		return v
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if g = r.gauges[name]; g == nil {
-		g = new(uint64)
-		r.gauges[name] = g
+	v := (*m)[name]
+	if v == nil {
+		v = mk()
+		(*m)[name] = v
 	}
-	return g
+	return v
 }
 
-func (r *Registry) timer(name string) *timer {
-	r.mu.RLock()
-	t := r.timers[name]
-	r.mu.RUnlock()
-	if t != nil {
-		return t
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if t = r.timers[name]; t == nil {
-		t = &timer{}
-		r.timers[name] = t
-	}
-	return t
-}
+// zero is lookup's constructor for counters and gauges.
+func zero[T any]() *T { return new(T) }
 
 // Add increments counter name by delta (creating it at zero first).
-func (r *Registry) Add(name string, delta int64) { atomic.AddInt64(r.counter(name), delta) }
+func (r *Registry) Add(name string, delta int64) {
+	atomic.AddInt64(lookup(r, &r.counters, name, zero[int64]), delta)
+}
 
 // Inc increments counter name by one.
 func (r *Registry) Inc(name string) { r.Add(name, 1) }
 
 // Counter returns the current value of counter name (0 if never touched).
 func (r *Registry) Counter(name string) int64 {
-	r.mu.RLock()
-	c := r.counters[name]
-	r.mu.RUnlock()
-	if c == nil {
-		return 0
+	if c := find(r, &r.counters, name); c != nil {
+		return atomic.LoadInt64(c)
 	}
-	return atomic.LoadInt64(c)
+	return 0
 }
 
 // SetGauge records the latest value of gauge name. Non-finite values are
@@ -164,33 +140,20 @@ func (r *Registry) SetGauge(name string, v float64) {
 	if math.IsNaN(v) || math.IsInf(v, 0) {
 		return
 	}
-	atomic.StoreUint64(r.gauge(name), math.Float64bits(v))
+	atomic.StoreUint64(lookup(r, &r.gauges, name, zero[uint64]), math.Float64bits(v))
 }
 
 // Gauge returns the current value of gauge name (0 if never set).
 func (r *Registry) Gauge(name string) float64 {
-	r.mu.RLock()
-	g := r.gauges[name]
-	r.mu.RUnlock()
-	if g == nil {
-		return 0
+	if g := find(r, &r.gauges, name); g != nil {
+		return math.Float64frombits(atomic.LoadUint64(g))
 	}
-	return math.Float64frombits(atomic.LoadUint64(g))
+	return 0
 }
 
 // Observe folds one duration into timer name (count/total/min/max).
 func (r *Registry) Observe(name string, d time.Duration) {
-	t := r.timer(name)
-	t.mu.Lock()
-	t.count++
-	t.total += d
-	if t.count == 1 || d < t.min {
-		t.min = d
-	}
-	if d > t.max {
-		t.max = d
-	}
-	t.mu.Unlock()
+	lookup(r, &r.timers, name, newHist).observe(d.Nanoseconds())
 }
 
 // TimerStat is the exported state of one timer.
@@ -200,6 +163,22 @@ type TimerStat struct {
 	MinNS   int64 `json:"min_ns"`
 	MaxNS   int64 `json:"max_ns"`
 	AvgNS   int64 `json:"avg_ns"`
+}
+
+// timerStat projects a histogram onto the timer export. Loading count
+// first means min and max already cover every counted observation (see
+// hist.observe), so a racing writer can skew the total but never leave a
+// counted timer with its MaxInt64/MinInt64 seeds.
+func (h *hist) timerStat() TimerStat {
+	st := TimerStat{Count: h.count.Load()}
+	if st.Count == 0 {
+		return st
+	}
+	st.TotalNS = h.sum.Load()
+	st.MinNS = h.min.Load()
+	st.MaxNS = h.max.Load()
+	st.AvgNS = st.TotalNS / st.Count
+	return st
 }
 
 // Snapshot is a point-in-time copy of a registry, ready for serialization.
@@ -221,22 +200,10 @@ func (r *Registry) Snapshot() Snapshot {
 		Hists:    map[string]HistStat{},
 	}
 	r.mu.RLock()
-	counters := make(map[string]*int64, len(r.counters))
-	for k, v := range r.counters {
-		counters[k] = v
-	}
-	gauges := make(map[string]*uint64, len(r.gauges))
-	for k, v := range r.gauges {
-		gauges[k] = v
-	}
-	timers := make(map[string]*timer, len(r.timers))
-	for k, v := range r.timers {
-		timers[k] = v
-	}
-	hists := make(map[string]*hist, len(r.hists))
-	for k, v := range r.hists {
-		hists[k] = v
-	}
+	counters := maps.Clone(r.counters)
+	gauges := maps.Clone(r.gauges)
+	timers := maps.Clone(r.timers)
+	hists := maps.Clone(r.hists)
 	r.mu.RUnlock()
 	for k, v := range counters {
 		s.Counters[k] = atomic.LoadInt64(v)
@@ -244,22 +211,15 @@ func (r *Registry) Snapshot() Snapshot {
 	for k, v := range gauges {
 		s.Gauges[k] = math.Float64frombits(atomic.LoadUint64(v))
 	}
-	for k, t := range timers {
-		t.mu.Lock()
-		st := TimerStat{Count: t.count, TotalNS: t.total.Nanoseconds(), MinNS: t.min.Nanoseconds(), MaxNS: t.max.Nanoseconds()}
-		t.mu.Unlock()
-		if st.Count == 0 {
-			continue
+	for k, h := range timers {
+		if st := h.timerStat(); st.Count > 0 {
+			s.Timers[k] = st
 		}
-		st.AvgNS = st.TotalNS / st.Count
-		s.Timers[k] = st
 	}
 	for k, h := range hists {
-		st := h.stat()
-		if st.Count == 0 {
-			continue
+		if st := h.stat(); st.Count > 0 {
+			s.Hists[k] = st
 		}
-		s.Hists[k] = st
 	}
 	return s
 }
@@ -273,99 +233,6 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 	b = append(b, '\n')
 	_, err = w.Write(b)
 	return err
-}
-
-// WriteText emits the registry as sorted human-readable lines.
-func (r *Registry) WriteText(w io.Writer) error {
-	s := r.Snapshot()
-	var names []string
-	for k := range s.Counters {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	for _, k := range names {
-		if _, err := fmt.Fprintf(w, "counter %-42s %d\n", k, s.Counters[k]); err != nil {
-			return err
-		}
-	}
-	names = names[:0]
-	for k := range s.Gauges {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	for _, k := range names {
-		if _, err := fmt.Fprintf(w, "gauge   %-42s %g\n", k, s.Gauges[k]); err != nil {
-			return err
-		}
-	}
-	names = names[:0]
-	for k := range s.Timers {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	for _, k := range names {
-		t := s.Timers[k]
-		if _, err := fmt.Fprintf(w, "timer   %-42s count=%d total=%v avg=%v min=%v max=%v\n",
-			k, t.Count,
-			time.Duration(t.TotalNS).Round(time.Microsecond),
-			time.Duration(t.AvgNS).Round(time.Microsecond),
-			time.Duration(t.MinNS).Round(time.Microsecond),
-			time.Duration(t.MaxNS).Round(time.Microsecond)); err != nil {
-			return err
-		}
-	}
-	names = names[:0]
-	for k := range s.Hists {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	for _, k := range names {
-		h := s.Hists[k]
-		if _, err := fmt.Fprintf(w, "hist    %-42s count=%d mean=%.1f p50=%.1f p90=%.1f p99=%.1f max=%d\n",
-			k, h.Count, h.Mean, h.P50, h.P90, h.P99, h.Max); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Package-level helpers: one atomic load, then the default registry.
-
-// Add increments a default-registry counter when collection is enabled.
-func Add(name string, delta int64) {
-	if !enabled.Load() {
-		return
-	}
-	defaultR.Add(name, delta)
-}
-
-// Inc increments a default-registry counter by one when enabled.
-func Inc(name string) { Add(name, 1) }
-
-// SetGauge records a default-registry gauge when enabled.
-func SetGauge(name string, v float64) {
-	if !enabled.Load() {
-		return
-	}
-	defaultR.SetGauge(name, v)
-}
-
-// Observe folds a duration into a default-registry timer when enabled.
-func Observe(name string, d time.Duration) {
-	if !enabled.Load() {
-		return
-	}
-	defaultR.Observe(name, d)
-}
-
-// Time starts a stopwatch for timer name and returns the function that
-// stops it. When collection is disabled the returned function is a no-op.
-func Time(name string) func() {
-	if !enabled.Load() {
-		return func() {}
-	}
-	start := time.Now()
-	return func() { defaultR.Observe(name, time.Since(start)) }
 }
 
 // Dump is the full -metrics-out payload: the process-wide snapshot with
@@ -390,9 +257,6 @@ func WriteJSON(w io.Writer) error {
 	_, err = w.Write(b)
 	return err
 }
-
-// WriteText emits the default registry as text.
-func WriteText(w io.Writer) error { return defaultR.WriteText(w) }
 
 // DumpJSON writes the default registry's snapshot (with per-scope
 // sections) to path atomically: a signal or crash arriving mid-flush

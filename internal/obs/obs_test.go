@@ -3,12 +3,20 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"math"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"graphio/internal/persist"
 )
+
+// unscoped is the nil scope: emission through it lands in the default
+// registry only, the way process-level callers emit.
+var unscoped *Scope
 
 func TestRegistryCountersGaugesTimers(t *testing.T) {
 	r := NewRegistry()
@@ -97,10 +105,10 @@ func TestPackageHelpersConcurrentWhileToggling(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
-				Inc("global")
-				Observe("gdur", time.Microsecond)
-				SetGauge("gg", 1)
-				stop := Time("stopwatch")
+				unscoped.Inc("global")
+				unscoped.Observe("gdur", time.Microsecond)
+				unscoped.SetGauge("gg", 1)
+				stop := unscoped.TimeHist("stopwatch")
 				stop()
 			}
 		}()
@@ -117,7 +125,7 @@ func TestPackageHelpersConcurrentWhileToggling(t *testing.T) {
 	// recorded totals depend on toggle timing. One guaranteed-enabled
 	// increment checks the registry still works after the churn.
 	Enable(true)
-	Inc("global")
+	unscoped.Inc("global")
 	if got := Default().Counter("global"); got == 0 {
 		t.Error("no global increments recorded")
 	}
@@ -126,12 +134,12 @@ func TestPackageHelpersConcurrentWhileToggling(t *testing.T) {
 func TestDisabledHelpersAreInert(t *testing.T) {
 	Reset()
 	Enable(false)
-	Inc("never")
-	Observe("never", time.Second)
-	SetGauge("never", 1)
-	Time("never")()
+	unscoped.Inc("never")
+	unscoped.Observe("never", time.Second)
+	unscoped.SetGauge("never", 1)
+	unscoped.TimeHist("never")()
 	s := Default().Snapshot()
-	if len(s.Counters)+len(s.Gauges)+len(s.Timers) != 0 {
+	if len(s.Counters)+len(s.Gauges)+len(s.Timers)+len(s.Hists) != 0 {
 		t.Errorf("disabled helpers recorded metrics: %+v", s)
 	}
 }
@@ -158,7 +166,7 @@ func TestWriteJSONShape(t *testing.T) {
 }
 
 // TestTimerMinSeededByFirstObserve pins the first-observation edge: the
-// zero value of timer.min must never leak into the stats as a fake 0ns
+// zero value of the timer's min must never leak into the stats as a fake 0ns
 // minimum — the first Observe seeds it, later ones only lower it.
 func TestTimerMinSeededByFirstObserve(t *testing.T) {
 	r := NewRegistry()
@@ -181,7 +189,7 @@ func TestTimerMinSeededByFirstObserve(t *testing.T) {
 // (count=0 with min=max=avg=0 reads like a real measurement).
 func TestSnapshotOmitsNeverObservedTimer(t *testing.T) {
 	r := NewRegistry()
-	r.timer("ghost") // registered, never observed
+	lookup(r, &r.timers, "ghost", newHist) // registered, never observed
 	r.Observe("real", time.Millisecond)
 	s := r.Snapshot()
 	if _, ok := s.Timers["ghost"]; ok {
@@ -199,23 +207,95 @@ func TestSnapshotOmitsNeverObservedTimer(t *testing.T) {
 	}
 }
 
-func TestWriteTextSortedAndComplete(t *testing.T) {
+// TestTimerViewMatchesDirectStats feeds one timer each sequence and checks
+// the TimerStat projection against count/total/min/max/avg computed here.
+func TestTimerViewMatchesDirectStats(t *testing.T) {
+	cases := map[string][]time.Duration{
+		"single":     {7 * time.Millisecond},
+		"repeats":    {3 * time.Microsecond, 3 * time.Microsecond, 3 * time.Microsecond},
+		"descending": {9 * time.Second, 4 * time.Millisecond, 2 * time.Microsecond, 1},
+		"zero":       {0},
+	}
+	for name, seq := range cases {
+		t.Run(name, func(t *testing.T) {
+			r := NewRegistry()
+			want := TimerStat{MinNS: math.MaxInt64, MaxNS: math.MinInt64}
+			for _, d := range seq {
+				r.Observe("t", d)
+				ns := d.Nanoseconds()
+				want.Count++
+				want.TotalNS += ns
+				want.MinNS = min(want.MinNS, ns)
+				want.MaxNS = max(want.MaxNS, ns)
+			}
+			want.AvgNS = want.TotalNS / want.Count
+			got, ok := r.Snapshot().Timers["t"]
+			if !ok {
+				t.Fatal("observed timer missing from the snapshot")
+			}
+			if got != want {
+				t.Errorf("TimerStat = %+v, want %+v", got, want)
+			}
+		})
+	}
+}
+
+// TestTimerViewConcurrent: 8 goroutines × 500 distinct durations into one
+// timer. Under -race this certifies the lock-free view; the exact totals
+// check that no observation is lost.
+func TestTimerViewConcurrent(t *testing.T) {
+	const workers, perWorker = 8, 500
 	r := NewRegistry()
-	r.Add("b.counter", 2)
-	r.Add("a.counter", 1)
-	r.SetGauge("m.gauge", 3)
-	r.Observe("z.timer", time.Millisecond)
-	var buf bytes.Buffer
-	if err := r.WriteText(&buf); err != nil {
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWorker; i++ {
+				r.Observe("t", time.Duration(w*perWorker+i+1))
+			}
+		}(w)
+	}
+	wg.Wait()
+	const n = workers * perWorker
+	want := TimerStat{Count: n, TotalNS: n * (n + 1) / 2, MinNS: 1, MaxNS: n, AvgNS: (n + 1) / 2}
+	if got := r.Snapshot().Timers["t"]; got != want {
+		t.Errorf("TimerStat = %+v, want %+v", got, want)
+	}
+}
+
+// TestTimerAndHistSameNameIndependent: timers are histograms underneath,
+// but a timer and a histogram sharing a name stay separate entries.
+func TestTimerAndHistSameNameIndependent(t *testing.T) {
+	r := NewRegistry()
+	r.Observe("x", 5*time.Millisecond)
+	r.Observe("x", time.Millisecond)
+	r.ObserveHist("x", 7)
+	s := r.Snapshot()
+	wantTimer := TimerStat{Count: 2, TotalNS: 6e6, MinNS: 1e6, MaxNS: 5e6, AvgNS: 3e6}
+	if got := s.Timers["x"]; got != wantTimer {
+		t.Errorf("timer x = %+v, want %+v", got, wantTimer)
+	}
+	if h := s.Hists["x"]; h.Count != 1 || h.Sum != 7 || h.Min != 7 || h.Max != 7 {
+		t.Errorf("hist x = %+v, want one observation of 7", h)
+	}
+}
+
+// TestPersistHookReachesDefaultRegistry: persist reports through its Count
+// hook, which obs points at the nil scope; with collection on, one atomic
+// write must raise persist.commit in the default registry by exactly 1.
+func TestPersistHookReachesDefaultRegistry(t *testing.T) {
+	Enable(true)
+	defer Enable(false)
+	before := Default().Counter("persist.commit")
+	path := filepath.Join(t.TempDir(), "out.txt")
+	if err := persist.WriteTo(path, func(w io.Writer) error {
+		_, err := io.WriteString(w, "ok\n")
+		return err
+	}); err != nil {
 		t.Fatal(err)
 	}
-	out := buf.String()
-	for _, want := range []string{"a.counter", "b.counter", "m.gauge", "z.timer", "count=1"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("text output missing %q:\n%s", want, out)
-		}
-	}
-	if strings.Index(out, "a.counter") > strings.Index(out, "b.counter") {
-		t.Errorf("counters not sorted:\n%s", out)
+	if got := Default().Counter("persist.commit") - before; got != 1 {
+		t.Errorf("persist.commit rose by %d, want 1", got)
 	}
 }

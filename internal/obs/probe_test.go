@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"context"
 	"math"
 	"path/filepath"
 	"strings"
@@ -24,7 +25,7 @@ func resetProbes(t *testing.T) {
 
 func TestProbeDisabledIsInert(t *testing.T) {
 	resetProbes(t)
-	Probe("linalg.lanczos").Iter(0, F("resid", 0.5))
+	Probe("linalg.lanczos").IterCtx(context.Background(), 0, F("resid", 0.5))
 	if n, _ := EventStats(); n != 0 {
 		t.Errorf("disabled collector buffered %d events", n)
 	}
@@ -48,11 +49,11 @@ func TestProbeEventRoundTrip(t *testing.T) {
 	if !EventsEnabled() {
 		t.Fatal("EventsEnabled false after StartEvents")
 	}
-	Probe("linalg.lanczos").Iter(0, F("resid", 0.5), FI("locked", 2))
-	Probe("linalg.lanczos").Iter(1, F("bad", math.NaN()), F("width", 1e-9))
-	Probe("pebble.simulate").Iter(4096)
+	Probe("linalg.lanczos").IterCtx(context.Background(), 0, F("resid", 0.5), FI("locked", 2))
+	Probe("linalg.lanczos").IterCtx(context.Background(), 1, F("bad", math.NaN()), F("width", 1e-9))
+	Probe("pebble.simulate").IterCtx(context.Background(), 4096)
 	StopEvents()
-	Probe("linalg.lanczos").Iter(2, F("resid", 0.1))
+	Probe("linalg.lanczos").IterCtx(context.Background(), 2, F("resid", 0.1))
 
 	path := filepath.Join(t.TempDir(), "events.jsonl")
 	if err := DumpEvents(path); err != nil {
@@ -83,7 +84,7 @@ func TestWriteEventsDeterministic(t *testing.T) {
 	SetClock(func() time.Time { return base })
 	StartEvents()
 	for i := int64(0); i < 10; i++ {
-		Probe("mincut.sweep").Iter(i, FI("cut", 100-i), FI("best", 90))
+		Probe("mincut.sweep").IterCtx(context.Background(), i, FI("cut", 100-i), FI("best", 90))
 	}
 	StopEvents()
 	var a, b strings.Builder
@@ -114,7 +115,7 @@ func TestProbeConcurrentEmit(t *testing.T) {
 			defer wg.Done()
 			p := Probe("mincut.sweep")
 			for i := 0; i < per; i++ {
-				p.Iter(int64(i), FI("worker", int64(w)))
+				p.IterCtx(context.Background(), int64(i), FI("worker", int64(w)))
 			}
 		}(w)
 	}

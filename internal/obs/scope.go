@@ -23,8 +23,9 @@ import (
 // tests observe. A nil *Scope is valid everywhere and routes straight to
 // the default registry, which is what FromContext returns on an unscoped
 // context — the ctx-aware package helpers (AddCtx, IncCtx, ...) therefore
-// behave exactly like their global counterparts until someone installs a
-// scope.
+// feed only the process totals until someone installs a scope. Scope
+// methods and the ctx helpers over them are obs's only metric emission
+// path; there are no package-level Inc/Observe twins.
 //
 // Like the rest of the package, scope emission is gated on the one global
 // enabled flag: a disabled process pays a single atomic load per call no
@@ -170,17 +171,23 @@ func (s *Scope) Digest() string {
 }
 
 // scope emission: dual-write the scope chain plus the default registry,
-// all behind the same single enabled load as the global helpers.
+// all behind a single enabled load.
 
-// Add increments an attributed counter (and the process total).
-func (s *Scope) Add(name string, delta int64) {
+// emit applies f to every registry s writes through: its own, each
+// ancestor's, then the default registry (only the last on a nil scope).
+func (s *Scope) emit(f func(*Registry)) {
 	if !enabled.Load() {
 		return
 	}
 	for c := s; c != nil; c = c.parent {
-		c.reg.Add(name, delta)
+		f(c.reg)
 	}
-	defaultR.Add(name, delta)
+	f(defaultR)
+}
+
+// Add increments an attributed counter (and the process total).
+func (s *Scope) Add(name string, delta int64) {
+	s.emit(func(r *Registry) { r.Add(name, delta) })
 }
 
 // Inc increments an attributed counter by one.
@@ -188,49 +195,17 @@ func (s *Scope) Inc(name string) { s.Add(name, 1) }
 
 // SetGauge records an attributed gauge (latest-value semantics everywhere).
 func (s *Scope) SetGauge(name string, v float64) {
-	if !enabled.Load() {
-		return
-	}
-	for c := s; c != nil; c = c.parent {
-		c.reg.SetGauge(name, v)
-	}
-	defaultR.SetGauge(name, v)
+	s.emit(func(r *Registry) { r.SetGauge(name, v) })
 }
 
 // Observe folds a duration into an attributed timer.
 func (s *Scope) Observe(name string, d time.Duration) {
-	if !enabled.Load() {
-		return
-	}
-	for c := s; c != nil; c = c.parent {
-		c.reg.Observe(name, d)
-	}
-	defaultR.Observe(name, d)
-}
-
-// Time starts a stopwatch whose stop function feeds an attributed timer.
-func (s *Scope) Time(name string) func() {
-	if !enabled.Load() {
-		return func() {}
-	}
-	start := Now()
-	return func() { s.Observe(name, Since(start)) }
+	s.emit(func(r *Registry) { r.Observe(name, d) })
 }
 
 // ObserveHist folds a value into an attributed histogram.
 func (s *Scope) ObserveHist(name string, v int64) {
-	if !enabled.Load() {
-		return
-	}
-	for c := s; c != nil; c = c.parent {
-		c.reg.ObserveHist(name, v)
-	}
-	defaultR.ObserveHist(name, v)
-}
-
-// ObserveHistDuration folds a duration (as ns) into an attributed histogram.
-func (s *Scope) ObserveHistDuration(name string, d time.Duration) {
-	s.ObserveHist(name, d.Nanoseconds())
+	s.emit(func(r *Registry) { r.ObserveHist(name, v) })
 }
 
 // TimeHist starts a stopwatch whose stop function feeds an attributed
@@ -264,9 +239,8 @@ func FromContext(ctx context.Context) *Scope {
 }
 
 // ctx-aware package helpers: resolve the scope from ctx first, fall back
-// to the default registry (nil scope). These are what the instrumented
-// packages call (lint rule scoped-obs); the unscoped helpers remain for
-// CLI wiring and un-instrumented leaf packages.
+// to the default registry (nil scope). Each is one line of sugar over the
+// matching Scope method.
 
 // AddCtx increments a counter attributed to ctx's scope.
 func AddCtx(ctx context.Context, name string, delta int64) { FromContext(ctx).Add(name, delta) }
@@ -282,18 +256,9 @@ func ObserveCtx(ctx context.Context, name string, d time.Duration) {
 	FromContext(ctx).Observe(name, d)
 }
 
-// TimeCtx starts a stopwatch feeding a timer attributed to ctx's scope.
-func TimeCtx(ctx context.Context, name string) func() { return FromContext(ctx).Time(name) }
-
 // ObserveHistCtx folds a value into a histogram attributed to ctx's scope.
 func ObserveHistCtx(ctx context.Context, name string, v int64) {
 	FromContext(ctx).ObserveHist(name, v)
-}
-
-// ObserveHistDurationCtx folds a duration into a histogram attributed to
-// ctx's scope.
-func ObserveHistDurationCtx(ctx context.Context, name string, d time.Duration) {
-	FromContext(ctx).ObserveHist(name, d.Nanoseconds())
 }
 
 // TimeHistCtx starts a stopwatch feeding a histogram attributed to ctx's

@@ -14,9 +14,10 @@ import (
 // classic "[obs] msg k=v" text the -v flag has always produced (goldens
 // and operator muscle memory keep working), and slog's JSONHandler serves
 // machine consumers behind -log-json. Both receive the same records —
-// span completions, Logf events — and scoped records carry the scope path
-// and correlation ID as attributes, so a JSON log line can be joined to
-// the /tasks view and the per-scope metrics sections it belongs to.
+// span completions, logf/LogCtx events — and scoped records carry the
+// scope path and correlation ID as attributes, so a JSON log line can be
+// joined to the /tasks view and the per-scope metrics sections it
+// belongs to.
 var (
 	logOn  atomic.Bool
 	logMu  sync.Mutex
@@ -60,8 +61,8 @@ func currentLogger() *slog.Logger {
 	return logger
 }
 
-// Logf writes one unscoped event record to the log sink, if any.
-func Logf(format string, args ...interface{}) {
+// logf writes one unscoped event record to the log sink, if any.
+func logf(format string, args ...interface{}) {
 	if !logOn.Load() {
 		return
 	}

@@ -9,7 +9,7 @@ import (
 )
 
 // Span is one timed phase. Spans nest by name (Child joins with "/"); a
-// nil *Span is valid and inert, which is what StartSpan returns when the
+// nil *Span is valid and inert, which is what startSpan returns when the
 // registry, the log sink and the trace collector are all off — call
 // sites need no guards.
 type Span struct {
@@ -23,10 +23,11 @@ type Span struct {
 	gid      int64
 }
 
-// StartSpan opens a span. On End the span's wall time lands in the timer
-// "span.<name>", the trace collector buffers it when tracing is on, and,
-// when a log sink is set, one record is emitted with the recorded fields.
-func StartSpan(name string) *Span {
+// startSpan opens an unattributed span. On End the span's wall time lands
+// in the timer "span.<name>", the trace collector buffers it when tracing
+// is on, and, when a log sink is set, one record is emitted with the
+// recorded fields.
+func startSpan(name string) *Span {
 	if !enabled.Load() && !logOn.Load() && !trackingSpans() {
 		return nil
 	}
@@ -41,9 +42,9 @@ func StartSpan(name string) *Span {
 // StartSpanCtx opens a span attributed to ctx's scope: on End the wall
 // time also lands in the scope chain's registries, the scope's open-span
 // gauge tracks it, and the log record carries the correlation ID. With no
-// scope on ctx it behaves exactly like StartSpan.
+// scope on ctx the span is unattributed and feeds the default registry.
 func StartSpanCtx(ctx context.Context, name string) *Span {
-	s := StartSpan(name)
+	s := startSpan(name)
 	if s == nil {
 		return nil
 	}
@@ -58,7 +59,7 @@ func StartSpanCtx(ctx context.Context, name string) *Span {
 // parent's scope attribution.
 func (s *Span) Child(name string) *Span {
 	if s == nil {
-		return StartSpan(name)
+		return startSpan(name)
 	}
 	c := &Span{name: s.name + "/" + name, start: time.Now(), scope: s.scope, parentID: s.traceID}
 	if c.scope != nil {
@@ -121,12 +122,7 @@ func (s *Span) End() time.Duration {
 	if s.scope != nil {
 		s.scope.openSpans.Add(-1)
 	}
-	if enabled.Load() {
-		for c := s.scope; c != nil; c = c.parent {
-			c.reg.Observe("span."+s.name, d)
-		}
-		defaultR.Observe("span."+s.name, d)
-	}
+	s.scope.Observe("span."+s.name, d)
 	if logOn.Load() {
 		attrs := make([]slog.Attr, 0, len(s.keys)+2)
 		for i, k := range s.keys {
